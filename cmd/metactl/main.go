@@ -320,8 +320,6 @@ func main() {
 		}
 
 	case "ls":
-		// Entries (not the best-effort Names) so a timeout or dead server is
-		// an error with the right exit code, not an empty listing.
 		entries, err := api.Entries(ctx)
 		if err != nil {
 			fatal(err)
@@ -340,19 +338,33 @@ func main() {
 		}
 
 	case "stat":
-		// Ping first: Len is best-effort and reads 0 on failure, which must
-		// not masquerade as an empty registry. Against a sharded site every
-		// shard server is pinged and reported.
-		for _, c := range clients {
-			if err := c.Ping(ctx); err != nil {
+		if len(clients) == 1 {
+			n, err := registry.Len(ctx, api)
+			if err != nil {
 				fatal(err)
 			}
+			fmt.Printf("address: %s\nsite:    %d\nentries: %d\n", target, api.Site(), n)
+			break
 		}
-		fmt.Printf("address: %s\nsite:    %d\nentries: %d\n", target, api.Site(), api.Len(ctx))
-		if len(clients) > 1 {
-			for _, c := range clients {
-				fmt.Printf("  shard %s: %d entries\n", c.Addr(), c.Len(ctx))
+		// Against a sharded site every shard server is counted and
+		// reported. Each shard's entries are fetched once; the site total
+		// counts each name once, as a replicated tier stores it on several
+		// shards.
+		counts := make([]int, len(clients))
+		names := make(map[string]bool)
+		for i, c := range clients {
+			es, err := c.Entries(ctx)
+			if err != nil {
+				fatal(err)
 			}
+			counts[i] = len(es)
+			for _, e := range es {
+				names[e.Name] = true
+			}
+		}
+		fmt.Printf("address: %s\nsite:    %d\nentries: %d\n", target, api.Site(), len(names))
+		for i, c := range clients {
+			fmt.Printf("  shard %s: %d entries\n", c.Addr(), counts[i])
 		}
 
 	default:

@@ -182,7 +182,7 @@ func main() {
 	// log tail even under -fsync=never. This defer is registered before the
 	// router's (below), so it runs after it: no re-sync sweep races a
 	// closing log.
-	var persistent []*registry.Instance
+	var local, persistent []*registry.Instance
 	defer func() {
 		for _, inst := range persistent {
 			if err := inst.Close(); err != nil {
@@ -194,14 +194,17 @@ func main() {
 	// (and journaling to) its subdirectory of -data-dir.
 	newInstance := func(sub string) registry.API {
 		if *dataDir == "" {
-			return registry.NewInstance(cloud.SiteID(*site), newStore(), instOpts...)
+			inst := registry.NewInstance(cloud.SiteID(*site), newStore(), instOpts...)
+			local = append(local, inst)
+			return inst
 		}
 		inst, err := registry.OpenInstance(cloud.SiteID(*site), newStore(), filepath.Join(*dataDir, sub), storeOpts, instOpts...)
 		if err != nil {
 			logger.Fatalf("open registry data dir: %v", err)
 		}
 		seq, _ := inst.DurableSeq()
-		logger.Printf("recovered %s: %d entries, log seq %d", filepath.Join(*dataDir, sub), inst.Len(context.Background()), seq)
+		logger.Printf("recovered %s: %d entries, log seq %d", filepath.Join(*dataDir, sub), inst.Store().Len(), seq)
+		local = append(local, inst)
 		persistent = append(persistent, inst)
 		return inst
 	}
@@ -349,7 +352,10 @@ func main() {
 		fmt.Printf("metrics on http://%s/metrics (Prometheus), /metrics.json, /trace.json\n", ln.Addr())
 	}
 
-	// Periodically report the instance's size so operators can watch growth.
+	// Periodically report the local instances' size so operators can watch
+	// growth. It sums the stores (one copy per replica on a replicated
+	// tier); a routing tier over remote shards has no local store, and its
+	// shards report their own.
 	ticker := time.NewTicker(30 * time.Second)
 	defer ticker.Stop()
 	sig := make(chan os.Signal, 1)
@@ -357,7 +363,15 @@ func main() {
 	for {
 		select {
 		case <-ticker.C:
-			logger.Printf("entries=%d requests=%d abandoned=%d", api.Len(context.Background()), srv.Requests(), srv.Abandoned())
+			if len(local) == 0 {
+				logger.Printf("requests=%d abandoned=%d", srv.Requests(), srv.Abandoned())
+				continue
+			}
+			n := 0
+			for _, inst := range local {
+				n += inst.Store().Len()
+			}
+			logger.Printf("entries=%d requests=%d abandoned=%d", n, srv.Requests(), srv.Abandoned())
 		case s := <-sig:
 			if s == syscall.SIGHUP {
 				// Reload the tenant config in place; a broken file keeps the

@@ -114,6 +114,10 @@ func main() {
 	fmt.Printf("  mean op latency %v, p95 %v, %d ops crossed datacenters\n",
 		summary.Mean.Round(time.Millisecond), summary.P95.Round(time.Millisecond), summary.RemoteCount)
 	for _, site := range topo.Sites() {
-		fmt.Printf("  registry at %-16s holds %5d entries\n", site.Name, proxies[site.ID].Len(ctx))
+		n, err := registry.Len(ctx, proxies[site.ID])
+		if err != nil {
+			log.Fatalf("counting entries at %s: %v", site.Name, err)
+		}
+		fmt.Printf("  registry at %-16s holds %5d entries\n", site.Name, n)
 	}
 }

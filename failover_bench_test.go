@@ -122,27 +122,6 @@ func (k *benchKillableShard) Entries(ctx context.Context) ([]registry.Entry, err
 	return k.API.Entries(ctx)
 }
 
-func (k *benchKillableShard) Names(ctx context.Context) []string {
-	if k.dead.Load() {
-		return nil
-	}
-	return k.API.Names(ctx)
-}
-
-func (k *benchKillableShard) Contains(ctx context.Context, name string) bool {
-	if k.dead.Load() {
-		return false
-	}
-	return k.API.Contains(ctx, name)
-}
-
-func (k *benchKillableShard) Len(ctx context.Context) int {
-	if k.dead.Load() {
-		return 0
-	}
-	return k.API.Len(ctx)
-}
-
 // BenchmarkReplicatedTierFailover measures the metadata-intensive mix on a
 // 4-shard, 2-way replicated tier with one shard killed halfway through the
 // run. Throughput (ops/s) covers the whole run including the kill; the
@@ -409,30 +388,6 @@ func (s *benchRestartableShard) Entries(ctx context.Context) ([]registry.Entry, 
 	return api.Entries(ctx)
 }
 
-func (s *benchRestartableShard) Names(ctx context.Context) []string {
-	api, err := s.api()
-	if err != nil {
-		return nil
-	}
-	return api.Names(ctx)
-}
-
-func (s *benchRestartableShard) Contains(ctx context.Context, name string) bool {
-	api, err := s.api()
-	if err != nil {
-		return false
-	}
-	return api.Contains(ctx, name)
-}
-
-func (s *benchRestartableShard) Len(ctx context.Context) int {
-	api, err := s.api()
-	if err != nil {
-		return 0
-	}
-	return api.Len(ctx)
-}
-
 // BenchmarkDurableRestartFailover is the kill-and-*restart* companion of
 // BenchmarkReplicatedTierFailover: a 4-shard, 2-way replicated tier of
 // durable (WAL-backed, fsync-per-append) shards runs the same mix while one
@@ -607,7 +562,7 @@ func BenchmarkDurableRestartFailover(b *testing.B) {
 		b.ReportMetric(float64(snap.Counters["router_repaired_entries_total"]), "repaired_entries")
 		// Local state: the restarted shard answers from what it recovered,
 		// holding its pre-outage share of the tier rather than starting cold.
-		if n := recovered.Len(bctx); n < preload/8 {
+		if n := recovered.Store().Len(); n < preload/8 {
 			b.Fatalf("restarted shard recovered only %d entries; it is not serving from local state", n)
 		}
 	}

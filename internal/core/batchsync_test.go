@@ -146,8 +146,8 @@ func TestReplicatedAgentUsesBatchCalls(t *testing.T) {
 	}
 	for _, site := range f.Sites() {
 		inst, _ := f.Instance(site)
-		if inst.Len(tctx) != 0 {
-			t.Errorf("site %d still holds %d entries after propagated deletes", site, inst.Len(tctx))
+		if entryCount(t, inst) != 0 {
+			t.Errorf("site %d still holds %d entries after propagated deletes", site, entryCount(t, inst))
 		}
 	}
 }
@@ -169,7 +169,7 @@ func TestPropagatorOrderWithinFlushWindow(t *testing.T) {
 	p.EnqueueDelete(0, 2, "cycle")
 	p.Enqueue(0, 2, testEntry("cycle", 0))
 	p.FlushNow(tctx)
-	if !inst.Contains(tctx, "cycle") {
+	if !holds(t, inst, "cycle") {
 		t.Error("entry deleted and re-created in one window vanished at the destination")
 	}
 
@@ -177,7 +177,7 @@ func TestPropagatorOrderWithinFlushWindow(t *testing.T) {
 	p.Enqueue(0, 2, testEntry("doomed", 0))
 	p.EnqueueDelete(0, 2, "doomed")
 	p.FlushNow(tctx)
-	if inst.Contains(tctx, "doomed") {
+	if holds(t, inst, "doomed") {
 		t.Error("entry created and deleted in one window survived at the destination")
 	}
 }
@@ -223,8 +223,8 @@ func TestDecReplicatedLazyDeleteUsesBatch(t *testing.T) {
 		t.Errorf("home site saw %d eager Deletes in lazy mode, want 0", got)
 	}
 	home, _ := f.Instance(2)
-	if home.Len(tctx) != len(names) {
-		t.Errorf("home holds %d entries before flush, want %d", home.Len(tctx), len(names))
+	if entryCount(t, home) != len(names) {
+		t.Errorf("home holds %d entries before flush, want %d", entryCount(t, home), len(names))
 	}
 	if err := svc.Flush(tctx); err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestDecReplicatedLazyDeleteUsesBatch(t *testing.T) {
 	if got := counters[2].Calls("Delete"); got != 0 {
 		t.Errorf("home site saw %d per-entry Deletes, want 0", got)
 	}
-	if home.Len(tctx) != 0 {
-		t.Errorf("home still holds %d entries after flushed deletes", home.Len(tctx))
+	if entryCount(t, home) != 0 {
+		t.Errorf("home still holds %d entries after flushed deletes", entryCount(t, home))
 	}
 }

@@ -218,7 +218,7 @@ func TestFlushCancellationRequeues(t *testing.T) {
 	}
 	for _, name := range names {
 		home, _ := svc.fabric.Instance(svc.Home(name))
-		if !home.Contains(tctx, name) {
+		if !holds(t, home, name) {
 			t.Errorf("entry %q never reached its home site after the re-queued flush", name)
 		}
 	}
@@ -249,7 +249,7 @@ func TestReplicatedFlushCancellationRequeues(t *testing.T) {
 	}
 	for _, site := range svc.fabric.Sites() {
 		inst, _ := svc.fabric.Instance(site)
-		if got := inst.Len(tctx); got != n {
+		if got := entryCount(t, inst); got != n {
 			t.Errorf("site %d holds %d entries after re-queued sync, want %d", site, got, n)
 		}
 	}

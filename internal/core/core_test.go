@@ -14,10 +14,41 @@ import (
 	"geomds/internal/latency"
 	"geomds/internal/limits"
 	"geomds/internal/metrics"
+	"geomds/internal/readcache"
 	"geomds/internal/registry"
 )
 
 var tctx = context.Background()
+
+// entryCount is registry.Len, failing the test on error.
+func entryCount(t testing.TB, api registry.API) int {
+	t.Helper()
+	n, err := registry.Len(tctx, api)
+	if err != nil {
+		t.Fatalf("counting entries: %v", err)
+	}
+	return n
+}
+
+// holds is registry.Contains, failing the test on error.
+func holds(t testing.TB, api registry.API, name string) bool {
+	t.Helper()
+	ok, err := registry.Contains(tctx, api, name)
+	if err != nil {
+		t.Fatalf("checking %q: %v", name, err)
+	}
+	return ok
+}
+
+// totalEntries is Fabric.TotalEntries, failing the test on error.
+func totalEntries(t testing.TB, f *Fabric) int {
+	t.Helper()
+	n, err := f.TotalEntries(tctx)
+	if err != nil {
+		t.Fatalf("TotalEntries: %v", err)
+	}
+	return n
+}
 
 // newTestFabric builds a 4-site fabric whose latency model never actually
 // sleeps, so strategy-logic tests run instantly. The cache capacity model is
@@ -89,7 +120,7 @@ func TestFabricBasics(t *testing.T) {
 	if f.EntrySize(testEntry("x", 0)) <= 0 {
 		t.Error("EntrySize should be positive")
 	}
-	if f.TotalEntries(tctx) != 0 {
+	if totalEntries(t, f) != 0 {
 		t.Error("fresh fabric should be empty")
 	}
 }
@@ -157,8 +188,8 @@ func TestCentralizedStoresOnlyAtHome(t *testing.T) {
 		if site == 2 {
 			want = 1
 		}
-		if inst.Len(tctx) != want {
-			t.Errorf("site %d holds %d entries, want %d", site, inst.Len(tctx), want)
+		if entryCount(t, inst) != want {
+			t.Errorf("site %d holds %d entries, want %d", site, entryCount(t, inst), want)
 		}
 	}
 }
@@ -310,7 +341,7 @@ func TestDecentralizedPlacement(t *testing.T) {
 		}
 		home := svc.Home(name)
 		inst, _ := f.Instance(home)
-		if !inst.Contains(tctx, name) {
+		if !holds(t, inst, name) {
 			t.Errorf("%s not stored at its home site %d", name, home)
 		}
 		// It must be stored nowhere else.
@@ -319,13 +350,13 @@ func TestDecentralizedPlacement(t *testing.T) {
 				continue
 			}
 			other, _ := f.Instance(site)
-			if other.Contains(tctx, name) {
+			if holds(t, other, name) {
 				t.Errorf("%s replicated to non-home site %d", name, site)
 			}
 		}
 	}
-	if f.TotalEntries(tctx) != 40 {
-		t.Errorf("TotalEntries = %d, want 40 (no replication)", f.TotalEntries(tctx))
+	if totalEntries(t, f) != 40 {
+		t.Errorf("TotalEntries = %d, want 40 (no replication)", totalEntries(t, f))
 	}
 	local, remote := svc.LocalRemoteOps()
 	if local+remote != 40 {
@@ -390,10 +421,10 @@ func TestDecReplicatedEagerWrite(t *testing.T) {
 	}
 	local, _ := f.Instance(1)
 	home, _ := f.Instance(svc.Home(name))
-	if !local.Contains(tctx, name) {
+	if !holds(t, local, name) {
 		t.Error("local replica missing")
 	}
-	if !home.Contains(tctx, name) {
+	if !holds(t, home, name) {
 		t.Error("home copy missing (eager propagation)")
 	}
 }
@@ -419,7 +450,7 @@ func TestDecReplicatedLazyWrite(t *testing.T) {
 	svc.Create(tctx, 0, testEntry(name, 0))
 	homeSite := svc.Home(name)
 	homeInst, _ := f.Instance(homeSite)
-	if homeInst.Contains(tctx, name) {
+	if holds(t, homeInst, name) {
 		t.Error("home copy should not exist before the lazy flush")
 	}
 	// Reads from the writer's site hit the local replica immediately.
@@ -441,7 +472,7 @@ func TestDecReplicatedLazyWrite(t *testing.T) {
 	if err := svc.Flush(tctx); err != nil {
 		t.Fatal(err)
 	}
-	if !homeInst.Contains(tctx, name) {
+	if !holds(t, homeInst, name) {
 		t.Error("home copy missing after flush")
 	}
 	if _, err := svc.Lookup(tctx, third, name); err != nil {
@@ -465,8 +496,8 @@ func TestDecReplicatedHomeEqualsWriter(t *testing.T) {
 		}
 	}
 	svc.Create(tctx, 2, testEntry(name, 2))
-	if f.TotalEntries(tctx) != 1 {
-		t.Errorf("TotalEntries = %d, want 1 (no self-replication)", f.TotalEntries(tctx))
+	if totalEntries(t, f) != 1 {
+		t.Errorf("TotalEntries = %d, want 1 (no self-replication)", totalEntries(t, f))
 	}
 }
 
@@ -494,7 +525,7 @@ func TestDecReplicatedUpdateAndDelete(t *testing.T) {
 	}
 	for _, site := range f.Sites() {
 		inst, _ := f.Instance(site)
-		if inst.Contains(tctx, name) {
+		if holds(t, inst, name) {
 			t.Errorf("entry still present at site %d after delete", site)
 		}
 	}
@@ -532,7 +563,7 @@ func TestPropagator(t *testing.T) {
 		t.Errorf("Pending after flush = %d, want 0", p.Pending())
 	}
 	inst, _ := f.Instance(2)
-	if !inst.Contains(tctx, "prop") {
+	if !holds(t, inst, "prop") {
 		t.Error("entry not applied at destination")
 	}
 	if p.Flushes() == 0 || p.Propagated() != 1 {
@@ -555,12 +586,12 @@ func TestPropagatorMaxBatchTriggersFlush(t *testing.T) {
 	inst, _ := f.Instance(1)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if inst.Len(tctx) == 3 {
+		if entryCount(t, inst) == 3 {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Errorf("max-batch flush did not run; destination holds %d entries", inst.Len(tctx))
+	t.Errorf("max-batch flush did not run; destination holds %d entries", entryCount(t, inst))
 }
 
 func TestController(t *testing.T) {
@@ -819,5 +850,75 @@ func TestGlobalVisibilityProperty(t *testing.T) {
 			t.Errorf("%s: %v", kind, err)
 		}
 		svc.Close()
+	}
+}
+
+// TestDecReplicatedAddLocationPaths covers the hybrid strategy's update
+// without a local existence pre-check: the local instance's own ErrNotFound
+// decides between the local (lazy) path and the home site.
+func TestDecReplicatedAddLocationPaths(t *testing.T) {
+	f := newTestFabric()
+	svc, err := NewDecReplicated(f, WithLazyPropagation(time.Hour, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var name string
+	for i := 0; ; i++ {
+		name = fmt.Sprintf("paths-%d", i)
+		if svc.Home(name) == 1 {
+			break
+		}
+	}
+	// Absent everywhere, asked at its home: ErrNotFound from the local check.
+	if _, err := svc.AddLocation(tctx, 1, name, registry.Location{Site: 1}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("AddLocation at home on a missing entry = %v, want ErrNotFound", err)
+	}
+	if _, err := svc.Create(tctx, 2, testEntry(name, 2)); err != nil {
+		t.Fatal(err)
+	}
+	// Local replica present at the writer: updated locally, home lazily.
+	e, err := svc.AddLocation(tctx, 2, name, registry.Location{Site: 2, Node: 3})
+	if err != nil || len(e.Locations) != 2 {
+		t.Fatalf("local AddLocation = %+v, %v", e, err)
+	}
+	// No local replica at site 0, and the home has not seen the lazy create
+	// yet: the home's ErrNotFound is the answer.
+	if _, err := svc.AddLocation(tctx, 0, name, registry.Location{Site: 0}); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("AddLocation via a home that lacks the entry = %v, want ErrNotFound", err)
+	}
+}
+
+// TestTotalEntriesSurfacesInstanceFailure asserts an instance that cannot be
+// counted fails the sum instead of contributing zero.
+func TestTotalEntriesSurfacesInstanceFailure(t *testing.T) {
+	f := newTestFabric(WithInstances(map[cloud.SiteID]registry.API{2: registry.Unavailable(2)}))
+	if n, err := f.TotalEntries(tctx); !errors.Is(err, registry.ErrUnavailable) {
+		t.Fatalf("TotalEntries = %d, %v; want an ErrUnavailable error", n, err)
+	}
+}
+
+// TestDecReplicatedOverConfiguredFabric runs the hybrid strategy over a
+// fabric with HA cache pairs, the JSON codec and a near cache, placed by a
+// consistent-hash ring with adaptive lazy batching: the options change the
+// machinery, not the answers.
+func TestDecReplicatedOverConfiguredFabric(t *testing.T) {
+	f := newTestFabric(WithHACaches(), WithFabricCodec(registry.JSONCodec{}), WithNearCache(readcache.Options{}))
+	svc, err := NewDecReplicated(f,
+		WithPlacer(dht.NewRingPlacer(f.Sites(), 16)),
+		WithAdaptiveLazyBatch(1, 64, 50*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := svc.Create(tctx, 1, testEntry("configured", 1)); err != nil {
+		t.Fatal(err)
+	}
+	e, err := svc.Lookup(tctx, 1, "configured")
+	if err != nil || e.Name != "configured" {
+		t.Fatalf("Lookup = %+v, %v", e, err)
+	}
+	if f.EntrySize(e) <= 0 {
+		t.Fatal("EntrySize must be positive under the JSON codec")
 	}
 }

@@ -368,17 +368,11 @@ func (s *DecReplicatedService) AddLocation(ctx context.Context, from cloud.SiteI
 	s.ops.Inc()
 	start := time.Now()
 
-	var updated registry.Entry
-	var localErr error
 	if _, err := s.fabric.call(ctx, from, from, s.fabric.queryBytes, s.fabric.ackBytes); err != nil {
 		s.fabric.record(metrics.OpUpdate, start, false)
 		return registry.Entry{}, opErr("addlocation", from, name, err)
 	}
-	if local.Contains(ctx, name) {
-		updated, localErr = local.AddLocation(ctx, name, loc)
-	} else {
-		localErr = registry.ErrNotFound
-	}
+	updated, localErr := local.AddLocation(ctx, name, loc)
 	if ctx.Err() != nil {
 		s.fabric.record(metrics.OpUpdate, start, false)
 		return registry.Entry{}, opErr("addlocation", from, name, ctx.Err())

@@ -483,13 +483,18 @@ func (f *Fabric) FeedSources() ([]feed.Source, error) {
 }
 
 // TotalEntries sums the number of entries stored across every instance
-// (entries replicated on k sites count k times).
-func (f *Fabric) TotalEntries(ctx context.Context) int {
+// (entries replicated on k sites count k times). An instance that cannot be
+// counted fails the whole sum rather than contributing zero.
+func (f *Fabric) TotalEntries(ctx context.Context) (int, error) {
 	total := 0
-	for _, inst := range f.instances {
-		total += inst.Len(ctx)
+	for site, inst := range f.instances {
+		n, err := registry.Len(ctx, inst)
+		if err != nil {
+			return 0, fmt.Errorf("core: counting entries at site %d: %w", site, err)
+		}
+		total += n
 	}
-	return total
+	return total, nil
 }
 
 // EntrySize returns the modelled wire size of an entry.

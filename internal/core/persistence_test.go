@@ -41,7 +41,7 @@ func TestFabricShardPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := inst.Len(tctx); n != 20 {
+	if n := entryCount(t, inst); n != 20 {
 		t.Errorf("recovered site holds %d entries, want 20", n)
 	}
 	for i := 0; i < 20; i++ {
@@ -55,7 +55,7 @@ func TestFabricShardPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := oinst.Len(tctx); n != 0 {
+	if n := entryCount(t, oinst); n != 0 {
 		t.Errorf("untouched site recovered %d entries, want 0", n)
 	}
 }

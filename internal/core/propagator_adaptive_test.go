@@ -78,10 +78,10 @@ func TestPropagatorAdaptiveLimitDrivesEarlyFlush(t *testing.T) {
 	inst, _ := f.Instance(1)
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if inst.Len(tctx) == 3 {
+		if entryCount(t, inst) == 3 {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Errorf("adaptive early flush did not run; destination holds %d entries", inst.Len(tctx))
+	t.Errorf("adaptive early flush did not run; destination holds %d entries", entryCount(t, inst))
 }

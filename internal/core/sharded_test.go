@@ -76,7 +76,7 @@ func TestSyncAgentStaysBatchedPerShard(t *testing.T) {
 	// Every site converged on the full entry set.
 	for _, site := range f.Sites() {
 		inst, _ := f.Instance(site)
-		if got := inst.Len(tctx); got != n {
+		if got := entryCount(t, inst); got != n {
 			t.Errorf("site %d holds %d entries after the round, want %d", site, got, n)
 		}
 	}

@@ -16,6 +16,16 @@ import (
 
 var tctx = context.Background()
 
+// entryCount is registry.Len, failing the test on error.
+func entryCount(t testing.TB, api registry.API) int {
+	t.Helper()
+	n, err := registry.Len(tctx, api)
+	if err != nil {
+		t.Fatalf("counting entries: %v", err)
+	}
+	return n
+}
+
 // testConfig shrinks the workloads far below QuickConfig so the whole figure
 // suite runs in a few seconds while preserving the latency hierarchy that
 // determines strategy ordering.
@@ -139,7 +149,7 @@ func TestEnvironmentWithDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := inst.Len(tctx); n != 0 {
+	if n := entryCount(t, inst); n != 0 {
 		t.Errorf("fresh environment recovered %d entries from a previous run, want 0", n)
 	}
 

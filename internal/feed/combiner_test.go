@@ -283,3 +283,61 @@ func TestCombinerCancelledMidEventDeliversAtMostOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestCombinerReportsStreamState asserts the stream-state callback fires on
+// every transition: connected after the first subscribe, disconnected the
+// moment the live stream ends, connected again after the resubscribe.
+func TestCombinerReportsStreamState(t *testing.T) {
+	l := NewLog()
+	var mu sync.Mutex
+	var streams []*Subscription
+	var states []bool
+	src := Source{
+		Name: "s",
+		Subscribe: func(ctx context.Context, from uint64) (Stream, error) {
+			sub, err := l.Subscribe(from)
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			streams = append(streams, sub)
+			mu.Unlock()
+			return sub, nil
+		},
+	}
+	c := NewCombiner([]Source{src},
+		WithResubscribeBackoff(time.Millisecond, 10*time.Millisecond),
+		WithStreamStateFunc(func(source string, connected bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			states = append(states, connected)
+		}))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c.Start(ctx)
+	defer c.Close()
+
+	waitStates := func(n int) []bool {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			mu.Lock()
+			got := append([]bool(nil), states...)
+			mu.Unlock()
+			if len(got) >= n {
+				return got
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("stream states %v, want %d transitions", got, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitStates(1)
+	mu.Lock()
+	streams[0].Close()
+	mu.Unlock()
+	if got := waitStates(3); !got[0] || got[1] || !got[2] {
+		t.Fatalf("stream states %v, want connected, disconnected, connected", got)
+	}
+}

@@ -68,6 +68,12 @@ type Event struct {
 	Name string
 	// Value is the codec-encoded entry for puts, nil for deletes.
 	Value []byte
+	// Version is the store version the put committed — the version a Get
+	// of the entry then returns — and 0 for deletes or when unknown.
+	// Versions increase per key at the shard that committed them, so a
+	// consumer already holding an entry at this version or later can drop
+	// the event.
+	Version uint64
 	// Origin labels where the event was produced when a Log relays events
 	// from several underlying feeds (the router's combined feed tags each
 	// event with its shard, e.g. "shard-2"); empty on a shard's own feed.

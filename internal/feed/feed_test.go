@@ -221,3 +221,18 @@ func TestLogMetrics(t *testing.T) {
 		t.Fatalf("feed_subscribers after close = %d", got)
 	}
 }
+
+// TestPublishCarriesVersion asserts the committed store version travels
+// with a put event to its subscribers unchanged.
+func TestPublishCarriesVersion(t *testing.T) {
+	l := NewLog()
+	sub, err := l.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	l.Publish(Event{Op: OpPut, Name: "k", Value: []byte("v"), Version: 7})
+	if got := collect(t, sub, 1)[0]; got.Version != 7 || got.Name != "k" {
+		t.Fatalf("delivered %+v, want k at version 7", got)
+	}
+}

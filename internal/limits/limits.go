@@ -183,14 +183,20 @@ func (b *TokenBucket) give(n float64) {
 	}
 }
 
+// refill credits the time since the last refill. Callers read the clock
+// before taking the lock, so now can be older than last: that interval was
+// already credited, and moving last back would credit it a second time.
 func (b *TokenBucket) refill(now time.Time) {
-	if !b.last.IsZero() {
-		if dt := now.Sub(b.last).Seconds(); dt > 0 {
-			b.tokens += dt * b.rate
-			if b.tokens > b.burst {
-				b.tokens = b.burst
-			}
-		}
+	if b.last.IsZero() {
+		b.last = now
+		return
+	}
+	if !now.After(b.last) {
+		return
+	}
+	b.tokens += now.Sub(b.last).Seconds() * b.rate
+	if b.tokens > b.burst {
+		b.tokens = b.burst
 	}
 	b.last = now
 }

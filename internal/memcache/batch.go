@@ -65,18 +65,19 @@ func (c *Cache) PutBatch(kvs []KV) ([]Item, error) {
 	return out, nil
 }
 
-// DeleteBatch removes many keys in one server-side operation, returning how
-// many of them were present. Absent keys are skipped rather than reported as
-// errors: a bulk delete is the propagation of deletions that already
-// succeeded somewhere else, so "already gone" is success.
-func (c *Cache) DeleteBatch(keys []string) (int, error) {
+// DeleteBatch removes many keys in one server-side operation, reporting for
+// each key whether it was present (removed[i] for keys[i]). Absent keys are
+// skipped rather than reported as errors: a bulk delete is the propagation
+// of deletions that already succeeded somewhere else, so "already gone" is
+// success.
+func (c *Cache) DeleteBatch(keys []string) (removed []bool, err error) {
 	if err := c.enter(); err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer c.leaveBatch(len(keys))
 
-	deleted := 0
-	for _, key := range keys {
+	removed = make([]bool, len(keys))
+	for i, key := range keys {
 		c.deletes.Add(1)
 		sh := c.shardFor(key)
 		sh.mu.Lock()
@@ -85,11 +86,11 @@ func (c *Cache) DeleteBatch(keys []string) (int, error) {
 			delete(sh.items, key)
 			c.addItems(-1)
 			c.bytes.Add(-int64(len(it.Value)))
-			deleted++
+			removed[i] = true
 		}
 		sh.mu.Unlock()
 	}
-	return deleted, nil
+	return removed, nil
 }
 
 // leaveBatch releases the worker slot after charging the amortized service
@@ -126,18 +127,19 @@ func (h *HACache) PutBatch(kvs []KV) ([]Item, error) {
 }
 
 // DeleteBatch implements the bulk delete on the highly-available pair,
-// mirroring the removals to the replica.
-func (h *HACache) DeleteBatch(keys []string) (int, error) {
+// mirroring the removals to the replica. It reports what the primary
+// removed.
+func (h *HACache) DeleteBatch(keys []string) ([]bool, error) {
 	h.mu.RLock()
 	primary, replica := h.primary, h.replica
 	h.mu.RUnlock()
-	n, err := primary.DeleteBatch(keys)
+	removed, err := primary.DeleteBatch(keys)
 	if err != nil {
-		return n, err
+		return removed, err
 	}
 	// DeleteBatch treats absent keys as success, so any replica error is
 	// real divergence.
 	_, merr := replica.DeleteBatch(keys)
 	h.mirror(merr)
-	return n, nil
+	return removed, nil
 }

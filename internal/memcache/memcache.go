@@ -269,18 +269,6 @@ func (c *Cache) Get(key string) (Item, error) {
 	return it, nil
 }
 
-// Contains reports whether key is present (and unexpired) without counting as
-// a Get in the statistics. Like Keys and Snapshot it bypasses the modelled
-// service capacity (no worker slot, no service time) and works on a stopped
-// cache — it is a control-plane probe, not a data-plane read.
-func (c *Cache) Contains(key string) bool {
-	sh := c.shardFor(key)
-	sh.mu.RLock()
-	it, ok := sh.items[key]
-	sh.mu.RUnlock()
-	return ok && !it.Expired(c.cfg.Now())
-}
-
 // Put stores value under key unconditionally, assigning the next version
 // number. It returns the stored item.
 func (c *Cache) Put(key string, value []byte, ttl time.Duration) (Item, error) {
@@ -397,28 +385,11 @@ func (c *Cache) removeExpired(key string, version uint64) {
 	}
 }
 
-// Keys returns all live (unexpired) keys in unspecified order. It bypasses
-// the modelled service capacity and works on a stopped cache: it serves
-// control-plane sweeps (re-sync, migration), not the measured data path.
-func (c *Cache) Keys() []string {
-	now := c.cfg.Now()
-	var keys []string
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		for k, it := range sh.items {
-			if !it.Expired(now) {
-				keys = append(keys, k)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return keys
-}
-
 // Snapshot returns a copy of every live item; the synchronization agent uses
-// it to pull the full content of a registry instance. Like Keys it bypasses
-// the modelled service capacity and works on a stopped cache, which failover
-// repopulation (HACache.FailPrimary) depends on.
+// it to pull the full content of a registry instance. It bypasses the
+// modelled service capacity and works on a stopped cache: it serves
+// control-plane sweeps (re-sync, migration) and the failover repopulation
+// HACache.FailPrimary depends on, not the measured data path.
 func (c *Cache) Snapshot() []Item {
 	now := c.cfg.Now()
 	var items []Item

@@ -3,6 +3,7 @@ package memcache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -91,8 +92,8 @@ func TestDelete(t *testing.T) {
 	if err := c.Delete("k"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if c.Contains("k") {
-		t.Error("key still present after delete")
+	if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get after delete = %v, want ErrNotFound", err)
 	}
 	if err := c.Delete("k"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("second delete = %v, want ErrNotFound", err)
@@ -106,11 +107,11 @@ func TestTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	c := New(Config{Now: func() time.Time { return now }})
 	c.Put("k", []byte("v"), time.Minute)
-	if !c.Contains("k") {
+	if len(c.Snapshot()) != 1 {
 		t.Fatal("key should be present before expiry")
 	}
 	now = now.Add(2 * time.Minute)
-	if c.Contains("k") {
+	if len(c.Snapshot()) != 0 {
 		t.Error("key should have expired")
 	}
 	if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
@@ -170,13 +171,13 @@ func TestKeysAndSnapshot(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)}, 0)
 	}
-	keys := c.Keys()
-	if len(keys) != 10 {
-		t.Errorf("Keys len = %d, want 10", len(keys))
-	}
 	snap := c.Snapshot()
-	if len(snap) != 10 {
-		t.Errorf("Snapshot len = %d, want 10", len(snap))
+	keys := make(map[string]bool, len(snap))
+	for _, it := range snap {
+		keys[it.Key] = true
+	}
+	if len(snap) != 10 || len(keys) != 10 {
+		t.Errorf("Snapshot holds %d items under %d keys, want 10 each", len(snap), len(keys))
 	}
 	seen := make(map[string]bool)
 	for _, it := range snap {
@@ -301,11 +302,8 @@ func TestHACacheBasics(t *testing.T) {
 	if err != nil || string(got.Value) != "v" {
 		t.Fatalf("Get = %q, %v", got.Value, err)
 	}
-	if h.Len() != 1 || len(h.Keys()) != 1 || len(h.Snapshot()) != 1 {
+	if h.Len() != 1 || len(h.Snapshot()) != 1 {
 		t.Error("accessors disagree about content")
-	}
-	if !h.Contains("k") {
-		t.Error("Contains should be true")
 	}
 	if h.Stats().Puts == 0 {
 		t.Error("stats should record the put")
@@ -479,5 +477,65 @@ func TestMaxItemsBoundUnderConcurrency(t *testing.T) {
 	}
 	if rejected != 8*bound-bound {
 		t.Errorf("rejected %d puts, want %d", rejected, 8*bound-bound)
+	}
+}
+
+// TestBatchOperations covers the bulk paths on a plain cache and on the
+// highly-available pair: found/missing partition, versions in input order,
+// absent deletes counted as skipped, the amortized service time of one
+// batch, and the refusal of a stopped cache.
+func TestBatchOperations(t *testing.T) {
+	var slept []time.Duration
+	c := New(Config{ServiceTime: time.Millisecond, BatchFactor: 4, Concurrency: 1,
+		Sleep: func(d time.Duration) { slept = append(slept, d) }})
+	items, err := c.PutBatch([]KV{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("2")}, {Key: "a", Value: []byte("3")}})
+	if err != nil || len(items) != 3 || items[2].Version != 2 {
+		t.Fatalf("PutBatch = %+v, %v; want three items, the repeated key at version 2", items, err)
+	}
+	// One slot and ServiceTime * (1 + n/BatchFactor) for the whole batch.
+	if want := time.Millisecond + 3*time.Millisecond/4; len(slept) != 1 || slept[0] != want {
+		t.Fatalf("batch of 3 slept %v, want one %v", slept, want)
+	}
+	found, missing, err := c.GetBatch([]string{"a", "ghost", "b"})
+	if err != nil || len(found) != 2 || len(missing) != 1 || missing[0] != "ghost" || string(found[0].Value) != "3" {
+		t.Fatalf("GetBatch = %+v, %v, %v", found, missing, err)
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 || st.Puts != 3 {
+		t.Fatalf("stats after batches = %+v", st)
+	}
+	if removed, err := c.DeleteBatch([]string{"a", "ghost"}); !slices.Equal(removed, []bool{true, false}) || err != nil {
+		t.Fatalf("DeleteBatch = %v, %v; want [true false] (the absent key is skipped)", removed, err)
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("DeleteBatch counted as a read: stats %+v", st)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len after DeleteBatch = %d, want 1", c.Len())
+	}
+	c.Stop()
+	if _, _, err := c.GetBatch([]string{"b"}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("GetBatch on a stopped cache = %v, want ErrStopped", err)
+	}
+	if _, err := c.PutBatch([]KV{{Key: "c"}}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("PutBatch on a stopped cache = %v, want ErrStopped", err)
+	}
+	if _, err := c.DeleteBatch([]string{"b"}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("DeleteBatch on a stopped cache = %v, want ErrStopped", err)
+	}
+
+	h := NewHA(func() *Cache { return New(Config{}) })
+	if _, err := h.PutBatch([]KV{{Key: "x", Value: []byte("1")}, {Key: "y", Value: []byte("2")}}); err != nil {
+		t.Fatal(err)
+	}
+	if removed, err := h.DeleteBatch([]string{"x"}); !slices.Equal(removed, []bool{true}) || err != nil {
+		t.Fatalf("HA DeleteBatch = %v, %v", removed, err)
+	}
+	h.FailPrimary()
+	found, missing, err = h.GetBatch([]string{"x", "y"})
+	if err != nil || len(found) != 1 || found[0].Key != "y" || len(missing) != 1 {
+		t.Fatalf("after failover GetBatch = %+v, %v, %v; the replica must mirror both batches", found, missing, err)
+	}
+	if h.MirrorFailures() != 0 {
+		t.Fatalf("mirror failures = %d, want 0", h.MirrorFailures())
 	}
 }

@@ -74,11 +74,6 @@ func (h *HACache) Get(key string) (Item, error) {
 	return h.Primary().Get(key)
 }
 
-// Contains reports whether the primary holds the key.
-func (h *HACache) Contains(key string) bool {
-	return h.Primary().Contains(key)
-}
-
 // Put writes to the primary and mirrors the value to the replica.
 func (h *HACache) Put(key string, value []byte, ttl time.Duration) (Item, error) {
 	h.mu.RLock()
@@ -127,9 +122,6 @@ func (h *HACache) Delete(key string) error {
 
 // Len returns the number of live entries in the primary.
 func (h *HACache) Len() int { return h.Primary().Len() }
-
-// Keys lists the live keys of the primary.
-func (h *HACache) Keys() []string { return h.Primary().Keys() }
 
 // Snapshot returns all live items of the primary.
 func (h *HACache) Snapshot() []Item { return h.Primary().Snapshot() }

@@ -99,10 +99,14 @@ const (
 
 // centry is one cached slot.
 type centry struct {
-	name   string
-	kind   entryKind
-	entry  registry.Entry
-	fence  uint64
+	name  string
+	kind  entryKind
+	entry registry.Entry
+	fence uint64
+	// reset is the fence of the slot's last change other than a versioned
+	// put event's invalidation (see install); a fill older than it never
+	// bypasses the fence.
+	reset  uint64
 	stored time.Time
 	elem   *list.Element
 }
@@ -244,15 +248,56 @@ func (c *Cache) consume() {
 
 // apply folds one change event into the cache: a delete purges the key
 // (positive or negative entry alike), a put invalidates it — or re-installs
-// the event's entry when a codec is configured.
+// the event's entry when a codec is configured. A put no newer than the
+// positive entry the cache holds changes nothing but the key's fence: it is
+// typically the late echo of a write this cache made itself, and the fill
+// that followed that write must survive it. The tombstone a put leaves
+// carries the put's version, so a fill in flight that read that version
+// installs (see install).
 func (c *Cache) apply(ev feed.Event) {
+	fence := c.fence.Add(1)
+	if ev.Op == feed.OpPut && ev.Version > 0 && c.holds(ev.Name, ev.Version, fence) {
+		return
+	}
 	if ev.Op == feed.OpPut && c.opts.Codec != nil && len(ev.Value) > 0 {
 		if e, err := c.opts.Codec.Decode(ev.Value); err == nil {
-			c.install(ev.Name, kindPositive, e, c.fence.Add(1))
+			if ev.Version > 0 {
+				e.Version = ev.Version // the encoded copy predates the commit's version
+			}
+			c.install(ev.Name, kindPositive, e, fence)
 			return
 		}
 	}
-	c.invalidate(ev.Name)
+	var version uint64
+	if ev.Op == feed.OpPut {
+		version = ev.Version
+	}
+	c.install(ev.Name, kindTombstone, registry.Entry{Version: version}, fence)
+	c.obs.invalidations.Inc()
+}
+
+// holds reports whether the cache holds a positive entry for the key at
+// version or later; if so it moves the key's fence up to fence, so fills
+// older than the event stay rejected.
+//
+// Versions compare only within one counter: they increase per key at the
+// shard that committed them, restart after a delete, and restart at a
+// migration's new home. A delete event replaces the positive entry, and
+// fills are fenced, so a cached entry never outlives its key's incarnation
+// in the cache; a migration's stale window closes when the sweep's delete
+// at the old home reaches the cache. Replicas count on their own, so a
+// replicated router relays its events without a version (see
+// registry.Router.relayVersion).
+func (c *Cache) holds(name string, version, fence uint64) bool {
+	sh := c.shardFor(name)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ce, found := sh.entries[name]
+	if !found || ce.kind != kindPositive || ce.entry.Version < version {
+		return false
+	}
+	ce.fence = max(ce.fence, fence)
+	return true
 }
 
 // invalidate fences the key against any in-flight fill and forgets its
@@ -352,23 +397,48 @@ func (c *Cache) lookup(name string) (registry.Entry, bool, bool) {
 // is dropped when the shard floor or the key's existing fence is newer than
 // the caller's. Callers installing events or invalidations pass a fresh
 // fence (always newest); fills pass the fence they recorded before calling
-// the origin.
+// the origin. An invalidation whose fence fell below the floor still
+// removes an entry no newer than itself.
+//
+// One exception lets a fill past a newer fence: the fence comes from a put
+// event's tombstone, the fill read at least that put's version, and the
+// fill started after the slot's reset — the last delete, version-less
+// invalidation or install. Since then the key has kept one version
+// counter, so the fill cannot predate the put.
 func (c *Cache) install(name string, kind entryKind, e registry.Entry, fence uint64) {
 	sh := c.shardFor(name)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	ce, found := sh.entries[name]
 	if fence < sh.floor {
+		// The floor already rejects every fill older than it, so an
+		// invalidation below it forgets an entry no newer than itself
+		// rather than leaving that entry behind.
+		if found && kind == kindTombstone && ce.fence <= fence {
+			sh.remove(ce)
+			c.obs.entries.Add(-1)
+		}
 		return
 	}
-	if ce, found := sh.entries[name]; found {
-		if fence < ce.fence {
+	reset := fence
+	if found {
+		fillPastPut := kind == kindPositive && ce.kind == kindTombstone && ce.entry.Version > 0 &&
+			e.Version >= ce.entry.Version && fence >= ce.reset
+		if fence < ce.fence && !fillPastPut {
 			return
 		}
-		ce.kind, ce.entry, ce.fence, ce.stored = kind, e, fence, c.now()
+		if kind == kindTombstone && e.Version > 0 {
+			reset = ce.reset // a put event keeps the key's version counter
+		}
+		ce.kind, ce.entry, ce.fence, ce.reset, ce.stored = kind, e, max(ce.fence, fence), reset, c.now()
 		sh.ll.MoveToFront(ce.elem)
 		return
 	}
-	ce := &centry{name: name, kind: kind, entry: e, fence: fence, stored: c.now()}
+	if kind == kindTombstone && e.Version > 0 {
+		// No slot: whatever reset the key had is at most the floor.
+		reset = sh.floor
+	}
+	ce = &centry{name: name, kind: kind, entry: e, fence: fence, reset: reset, stored: c.now()}
 	ce.elem = sh.ll.PushFront(ce)
 	sh.entries[name] = ce
 	c.obs.entries.Add(1)
@@ -475,20 +545,6 @@ type notFoundError struct{ name string }
 func (e *notFoundError) Error() string { return "readcache: " + e.name + ": entry not found" }
 func (e *notFoundError) Unwrap() error { return registry.ErrNotFound }
 
-// Contains implements registry.API: cached entries answer locally (a
-// negative entry is a cached "absent"); unknown keys pass through without
-// filling — Contains carries no entry to install and its best-effort
-// contract reads failures as "absent", which must not be cached.
-func (c *Cache) Contains(ctx context.Context, name string) bool {
-	if !c.serveThrough() {
-		if _, neg, ok := c.lookup(name); ok {
-			c.obs.hits.Inc()
-			return !neg
-		}
-	}
-	return c.origin.Contains(ctx, name)
-}
-
 // GetMany implements registry.API: cached names answer locally, the rest
 // fetch from the origin in one bulk call, filling positives and negatives
 // under the fencing protocol. Results keep the input order of the names
@@ -542,17 +598,10 @@ func (c *Cache) GetMany(ctx context.Context, names []string) ([]registry.Entry, 
 	return out, nil
 }
 
-// Names implements registry.API (pass-through: the full listing is not worth
-// caching and has no per-key coherence).
-func (c *Cache) Names(ctx context.Context) []string { return c.origin.Names(ctx) }
-
 // Entries implements registry.API (pass-through).
 func (c *Cache) Entries(ctx context.Context) ([]registry.Entry, error) {
 	return c.origin.Entries(ctx)
 }
-
-// Len implements registry.API (pass-through).
-func (c *Cache) Len(ctx context.Context) int { return c.origin.Len(ctx) }
 
 // --- registry.API: writes (write-through with invalidation) ---
 //

@@ -127,8 +127,11 @@ func TestNegativeCaching(t *testing.T) {
 	if got := origin.gets.Load(); got != 1 {
 		t.Fatalf("%d origin Gets for a repeated not-found; want 1", got)
 	}
-	if c.Contains(ctx, "ghost") {
-		t.Fatal("Contains true for a cached negative")
+	if ok, err := registry.Contains(ctx, c, "ghost"); ok || err != nil {
+		t.Fatalf("Contains(ghost) = %v, %v over a cached negative; want false, nil", ok, err)
+	}
+	if got := origin.gets.Load(); got != 1 {
+		t.Fatalf("Contains over a cached negative reached the origin (%d Gets)", got)
 	}
 }
 
@@ -569,8 +572,10 @@ func TestCacheOffEquivalence(t *testing.T) {
 			b, berr := c.Create(ctx, entry(name, int64(i)))
 			checkSame(t, i, "Create", a, aerr, b, berr)
 		case 3:
-			if raw.Contains(ctx, name) != c.Contains(ctx, name) {
-				t.Fatalf("op %d: Contains(%q) differs", i, name)
+			a, aerr := registry.Contains(ctx, raw, name)
+			b, berr := registry.Contains(ctx, c, name)
+			if a != b || aerr != nil || berr != nil {
+				t.Fatalf("op %d: Contains(%q) differs: raw %v %v, cached %v %v", i, name, a, aerr, b, berr)
 			}
 		case 4:
 			a, aerr := raw.AddLocation(ctx, name, registry.Location{Site: 2, Node: cloud.NodeID(i % 8)})
@@ -582,8 +587,10 @@ func TestCacheOffEquivalence(t *testing.T) {
 			checkSame(t, i, "Get", a, aerr, b, berr)
 		}
 	}
-	if raw.Len(ctx) != c.Len(ctx) {
-		t.Fatalf("Len differs: raw %d, cached %d", raw.Len(ctx), c.Len(ctx))
+	a, aerr := registry.Len(ctx, raw)
+	b, berr := registry.Len(ctx, c)
+	if a != b || aerr != nil || berr != nil {
+		t.Fatalf("Len differs: raw %d %v, cached %d %v", a, aerr, b, berr)
 	}
 }
 
@@ -774,15 +781,12 @@ func TestPassThroughReads(t *testing.T) {
 	if _, err := c.Put(ctx, entry("p/2", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(c.Names(ctx)); n != 2 {
-		t.Fatalf("Names: %d, want 2", n)
-	}
 	es, err := c.Entries(ctx)
 	if err != nil || len(es) != 2 {
 		t.Fatalf("Entries: %v %v", es, err)
 	}
-	if n := c.Len(ctx); n != 2 {
-		t.Fatalf("Len: %d, want 2", n)
+	if n, err := registry.Len(ctx, c); n != 2 || err != nil {
+		t.Fatalf("Len: %d %v, want 2", n, err)
 	}
 }
 
@@ -811,5 +815,259 @@ func TestMetricsSeries(t *testing.T) {
 	}
 	if reg.Gauge("readcache_entries").Value() != int64(c.CachedLen()) {
 		t.Fatal("readcache_entries gauge out of sync with occupancy")
+	}
+}
+
+// heldOrigin counts origin Gets and, while hold is set, parks each Get after
+// it read the origin — the fill has its answer but has not installed it.
+type heldOrigin struct {
+	registry.API
+	gets atomic.Int64
+	hold chan struct{}
+	held chan struct{}
+}
+
+func (a *heldOrigin) Get(ctx context.Context, name string) (registry.Entry, error) {
+	e, err := a.API.Get(ctx, name)
+	a.gets.Add(1)
+	if a.hold != nil {
+		a.held <- struct{}{}
+		<-a.hold
+	}
+	return e, err
+}
+
+// manualFeed attaches the cache to a feed whose events the test hands over
+// one at a time, and taps inst's own feed for them: deliver forwards the
+// instance's next event and returns once the cache applied it.
+func manualFeed(t *testing.T, c *Cache, inst *registry.Instance) (deliver func()) {
+	t.Helper()
+	events := make(chan feed.Event)
+	attach(t, c, feed.Source{
+		Name: "manual",
+		Subscribe: func(context.Context, uint64) (feed.Stream, error) {
+			return &droppableStream{ch: events}, nil
+		},
+	})
+	tap, err := inst.ChangeFeed().Subscribe(inst.ChangeFeed().Seq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tap.Close)
+	return func() {
+		t.Helper()
+		select {
+		case ev := <-tap.Events():
+			events <- ev
+		case <-time.After(5 * time.Second):
+			t.Fatal("origin published no feed event")
+		}
+		// Events apply in order: once a delete of an unrelated key is
+		// applied, so is the forwarded event.
+		inv := c.Stats().Invalidations
+		events <- feed.Event{Op: feed.OpDelete, Name: "unrelated"}
+		waitFor(t, "feed events applied", func() bool { return c.Stats().Invalidations > inv })
+	}
+}
+
+// TestLateFeedEventKeepsWriteThenReadFill pins version-aware invalidation:
+// the feed event of a write the cache made itself reaches the cache after
+// the write-then-read re-filled the entry, or while that fill is in flight.
+// It carries no newer version, so it must not throw the fill away, and each
+// write-then-read costs exactly one origin Get.
+func TestLateFeedEventKeepsWriteThenReadFill(t *testing.T) {
+	inst, _ := newFedInstance(t, 1)
+	origin := &heldOrigin{API: inst}
+	c := New(origin, Options{})
+	deliver := manualFeed(t, c, inst)
+
+	if _, err := c.Put(ctx, entry("k", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Get(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	deliver()
+	for i := 0; i < 2; i++ {
+		if e, err := c.Get(ctx, "k"); err != nil || e.Size != 1 {
+			t.Fatalf("Get = %+v, %v", e, err)
+		}
+	}
+	if got := origin.gets.Load(); got != 1 {
+		t.Fatalf("%d origin Gets, want 1", got)
+	}
+
+	// The late event lands while the fill is still in flight: the fill read
+	// the event's version, so it installs despite the event's newer fence.
+	if _, err := c.AddLocation(ctx, "k", registry.Location{Site: 2, Node: 2}); err != nil {
+		t.Fatal(err)
+	}
+	origin.hold, origin.held = make(chan struct{}), make(chan struct{})
+	filled := make(chan error, 1)
+	go func() {
+		_, err := c.Get(ctx, "k")
+		filled <- err
+	}()
+	<-origin.held
+	deliver()
+	close(origin.hold)
+	if err := <-filled; err != nil {
+		t.Fatal(err)
+	}
+	origin.hold = nil
+	if e, err := c.Get(ctx, "k"); err != nil || len(e.Locations) != 2 {
+		t.Fatalf("Get = %+v, %v; want the AddLocation result", e, err)
+	}
+	if got := origin.gets.Load(); got != 2 {
+		t.Fatalf("%d origin Gets, want 2", got)
+	}
+
+	// A newer write still evicts the entry.
+	if _, err := inst.Put(ctx, entry("k", 2)); err != nil {
+		t.Fatal(err)
+	}
+	deliver()
+	if e, err := c.Get(ctx, "k"); err != nil || e.Size != 2 {
+		t.Fatalf("Get after a newer write = %+v, %v; want size 2", e, err)
+	}
+}
+
+// TestFillAcrossDeleteAndRecreateIsRejected pins that versions never let an
+// old fill past the fence: a fill reads a key at version 3 and stalls, the
+// key is deleted and created again (its versions restart at 1), and the
+// stale fill must not install. The re-created key's later writes must
+// evict whatever the cache holds.
+func TestFillAcrossDeleteAndRecreateIsRejected(t *testing.T) {
+	inst, _ := newFedInstance(t, 1)
+	origin := &heldOrigin{API: inst}
+	c := New(origin, Options{})
+	deliver := manualFeed(t, c, inst)
+
+	for size := int64(1); size <= 3; size++ {
+		if _, err := inst.Put(ctx, entry("k", size)); err != nil {
+			t.Fatal(err)
+		}
+		deliver()
+	}
+	origin.hold, origin.held = make(chan struct{}), make(chan struct{})
+	filled := make(chan error, 1)
+	go func() {
+		e, err := c.Get(ctx, "k")
+		if err == nil && (e.Size != 3 || e.Version != 3) {
+			err = fmt.Errorf("stalled fill read %+v, want size 3 at version 3", e)
+		}
+		filled <- err
+	}()
+	<-origin.held
+	if err := inst.Delete(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	deliver()
+	if _, err := inst.Create(ctx, entry("k", 10)); err != nil {
+		t.Fatal(err)
+	}
+	deliver()
+	close(origin.hold)
+	if err := <-filled; err != nil {
+		t.Fatal(err)
+	}
+	origin.hold = nil
+
+	for size := int64(10); size <= 12; size++ {
+		if size > 10 {
+			if _, err := inst.Put(ctx, entry("k", size)); err != nil {
+				t.Fatal(err)
+			}
+			deliver()
+		}
+		if e, err := c.Get(ctx, "k"); err != nil || e.Size != size {
+			t.Fatalf("Get = %+v, %v; want the re-created entry at size %d", e, err, size)
+		}
+	}
+}
+
+// TestReplicaBehindDoesNotPinStaleEntry pins the replicated tier: each
+// replica numbers versions on its own, so a write committed by replicas
+// that missed an earlier write carries a version no newer than the one the
+// cache read from the replica that did not miss it. The cache must still
+// drop its entry and serve the new write.
+func TestReplicaBehindDoesNotPinStaleEntry(t *testing.T) {
+	insts := make([]*registry.Instance, 3)
+	shards := make([]registry.API, 3)
+	for i := range insts {
+		insts[i] = registry.NewInstance(cloud.SiteID(i+1), memcache.New(memcache.Config{}), registry.WithChangeFeed())
+		shards[i] = insts[i]
+	}
+	router, err := registry.NewRouter(1, shards, registry.WithRouterReplication(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	c := New(router, Options{})
+	attach(t, c, feed.Source{
+		Name: "tier",
+		Subscribe: func(ctx context.Context, from uint64) (feed.Stream, error) {
+			return router.ChangeFeed().Subscribe(from)
+		},
+		Snapshot: router.FeedSnapshot,
+	})
+	drain := func() {
+		t.Helper()
+		head, err := router.FeedBarrier(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "relay feed drained", func() bool { return c.combiner.Cursor("tier") >= head })
+	}
+
+	if _, err := c.Put(ctx, entry("k", 1)); err != nil {
+		t.Fatal(err)
+	}
+	// Only the primary takes the second write: it reaches version 2 while
+	// the other replicas stay at 1.
+	home := router.Home("k")
+	if _, err := insts[home].Put(ctx, entry("k", 2)); err != nil {
+		t.Fatal(err)
+	}
+	drain()
+	waitFor(t, "cache filled from the primary", func() bool {
+		e, err := c.Get(ctx, "k")
+		return err == nil && e.Size == 2
+	})
+
+	// The primary goes down and misses the third write, which the lagging
+	// replicas commit at version 2.
+	router.MarkShardDown(home)
+	for id, inst := range insts {
+		if cloud.SiteID(id) != home {
+			if e, err := inst.Put(ctx, entry("k", 3)); err != nil || e.Version != 2 {
+				t.Fatalf("replica %d Put = %+v, %v; want version 2", id, e, err)
+			}
+		}
+	}
+	drain()
+	waitFor(t, "cache serves the write the primary missed", func() bool {
+		e, err := c.Get(ctx, "k")
+		return err == nil && e.Size == 3
+	})
+}
+
+// TestInvalidationBelowEvictionFloorRemovesEntry pins the eviction-floor
+// race: an invalidation whose fence was drawn before an eviction raised the
+// shard floor above it must still remove the entry it invalidates.
+func TestInvalidationBelowEvictionFloorRemovesEntry(t *testing.T) {
+	c := New(registry.NewInstance(1, memcache.New(memcache.Config{})), Options{Capacity: 2, Shards: 1, MaxStaleness: -1})
+	c.install("victim", kindPositive, entry("victim", 1), 20)
+	c.install("k", kindPositive, entry("k", 1), 2)
+	c.install("newcomer", kindPositive, entry("newcomer", 1), 21) // evicts victim: floor 20
+	if _, _, ok := c.lookup("k"); !ok {
+		t.Fatal("setup: k was evicted")
+	}
+	c.install("k", kindTombstone, registry.Entry{}, 10)
+	if _, _, ok := c.lookup("k"); ok {
+		t.Fatal("k still served after an invalidation below the eviction floor")
+	}
+	if got := c.Stats(); got.Entries != 1 || int64(got.Entries) != c.obs.entries.Value() {
+		t.Fatalf("occupancy %d (gauge %d), want 1", got.Entries, c.obs.entries.Value())
 	}
 }

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"context"
+	"errors"
 
 	"geomds/internal/cloud"
 )
@@ -22,6 +23,11 @@ import (
 // propagates the deadline over the wire so the server can abandon work whose
 // client has given up. Site is exempt: it is a static attribute of the
 // instance, resolved at construction (or dial) time, not an operation.
+//
+// No operation turns a failure into a zero value: an unreachable instance
+// always answers with an error, never with "absent" or "empty". Existence
+// checks and counts are derived from Get and Entries by the Contains and Len
+// helpers, so they inherit that guarantee.
 type API interface {
 	// Site returns the datacenter this instance serves. It is a static
 	// attribute, not a remote operation, and therefore takes no context.
@@ -32,16 +38,10 @@ type API interface {
 	Put(ctx context.Context, e Entry) (Entry, error)
 	// Get returns the entry stored under name, or ErrNotFound.
 	Get(ctx context.Context, name string) (Entry, error)
-	// Contains reports whether an entry with the given name exists. It is
-	// best-effort: a cancelled context or transport failure reads as "absent".
-	Contains(ctx context.Context, name string) bool
 	// AddLocation records an additional copy of the named file.
 	AddLocation(ctx context.Context, name string, loc Location) (Entry, error)
 	// Delete removes the entry stored under name.
 	Delete(ctx context.Context, name string) error
-	// Names lists the names of all stored entries (best-effort: empty on a
-	// cancelled context or transport failure).
-	Names(ctx context.Context) []string
 	// Entries returns every stored entry.
 	Entries(ctx context.Context) ([]Entry, error)
 	// GetMany returns the entries stored under the given names, skipping
@@ -58,10 +58,34 @@ type API interface {
 	// Merge upserts a batch of entries, unioning locations, and returns how
 	// many entries were applied.
 	Merge(ctx context.Context, entries []Entry) (int, error)
-	// Len returns the number of stored entries (best-effort: zero on a
-	// cancelled context or transport failure).
-	Len(ctx context.Context) int
 }
 
 // Instance implements API.
 var _ API = (*Instance)(nil)
+
+// Contains reports whether api holds an entry named name. A miss
+// (ErrNotFound) is (false, nil); any other failure — an unreachable shard, a
+// cancelled context — is returned, so "absent" and "unreachable" never look
+// the same.
+func Contains(ctx context.Context, api API, name string) (bool, error) {
+	_, err := api.Get(ctx, name)
+	switch {
+	case err == nil:
+		return true, nil
+	case errors.Is(err, ErrNotFound):
+		return false, nil
+	default:
+		return false, err
+	}
+}
+
+// Len returns the number of entries api holds, counted from Entries. The
+// Router's Entries deduplicates by name, so replicas and copies caught
+// mid-migration count once.
+func Len(ctx context.Context, api API) (int, error) {
+	entries, err := api.Entries(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return len(entries), nil
+}

@@ -83,8 +83,8 @@ func (i *Instance) finishFeed() {
 		// recovered high-water mark so cursors from before the restart are
 		// correctly reported as compacted.
 		log.StartAt(i.durable.Seq())
-		i.durable.SetEventSink(func(seq uint64, op byte, key string, value []byte, sync bool) {
-			ev := feed.Event{Seq: seq, Op: feed.OpPut, Name: key, Value: value, Sync: sync}
+		i.durable.SetEventSink(func(seq uint64, op byte, key string, value []byte, version uint64, sync bool) {
+			ev := feed.Event{Seq: seq, Op: feed.OpPut, Name: key, Value: value, Version: version, Sync: sync}
 			if op == store.OpDelete {
 				ev.Op = feed.OpDelete
 				ev.Value = nil
@@ -129,7 +129,7 @@ func (i *Instance) FeedSnapshot(ctx context.Context) ([]feed.Event, uint64, erro
 	now := time.Now().UnixNano()
 	events := make([]feed.Event, 0, len(items))
 	for _, it := range items {
-		events = append(events, feed.Event{Seq: head, Op: feed.OpPut, Name: it.Key, Value: it.Value, Commit: now})
+		events = append(events, feed.Event{Seq: head, Op: feed.OpPut, Name: it.Key, Value: it.Value, Version: it.Version, Commit: now})
 	}
 	return events, head, nil
 }
@@ -144,8 +144,6 @@ type tapStore struct {
 }
 
 func (t *tapStore) Get(key string) (memcache.Item, error) { return t.backing.Get(key) }
-func (t *tapStore) Contains(key string) bool              { return t.backing.Contains(key) }
-func (t *tapStore) Keys() []string                        { return t.backing.Keys() }
 func (t *tapStore) Snapshot() []memcache.Item             { return t.backing.Snapshot() }
 func (t *tapStore) Len() int                              { return t.backing.Len() }
 func (t *tapStore) Stats() memcache.Stats                 { return t.backing.Stats() }
@@ -158,7 +156,7 @@ func (t *tapStore) Put(key string, value []byte, ttl time.Duration) (memcache.It
 	defer t.mu.Unlock()
 	it, err := t.backing.Put(key, value, ttl)
 	if err == nil {
-		t.log.Append(feed.OpPut, key, value)
+		t.log.Publish(feed.Event{Op: feed.OpPut, Name: key, Value: value, Version: it.Version})
 	}
 	return it, err
 }
@@ -169,7 +167,7 @@ func (t *tapStore) CAS(key string, value []byte, ttl time.Duration, expectedVers
 	it, err := t.backing.CAS(key, value, ttl, expectedVersion)
 	if err == nil {
 		// A version conflict published nothing: only committed writes feed.
-		t.log.Append(feed.OpPut, key, value)
+		t.log.Publish(feed.Event{Op: feed.OpPut, Name: key, Value: value, Version: it.Version})
 	}
 	return it, err
 }
@@ -189,35 +187,31 @@ func (t *tapStore) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
 	defer t.mu.Unlock()
 	items, err := t.backing.PutBatch(kvs)
 	if err == nil {
-		for _, kv := range kvs {
+		for idx, kv := range kvs {
 			// The batch path is the bulk-apply side (Merge): mark the events
 			// Sync so feed-driven replication agents recognize their own
 			// applies coming back and do not re-broadcast them.
-			t.log.Publish(feed.Event{Op: feed.OpPut, Name: kv.Key, Value: kv.Value, Sync: true})
+			t.log.Publish(feed.Event{Op: feed.OpPut, Name: kv.Key, Value: kv.Value, Version: items[idx].Version, Sync: true})
 		}
 	}
 	return items, err
 }
 
-func (t *tapStore) DeleteBatch(keys []string) (int, error) {
+func (t *tapStore) DeleteBatch(keys []string) ([]bool, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Like the WAL sink, only deletes that change state publish events —
-	// replication consumers re-applying a delete everywhere must quiesce,
-	// not echo forever.
-	existed := make([]bool, len(keys))
-	for idx, k := range keys {
-		existed[idx] = t.backing.Contains(k)
-	}
-	n, err := t.backing.DeleteBatch(keys)
+	removed, err := t.backing.DeleteBatch(keys)
 	if err == nil {
 		for idx, k := range keys {
-			if existed[idx] {
+			// Like the WAL sink, only deletes that change state publish
+			// events — replication consumers re-applying a delete
+			// everywhere must quiesce, not echo forever.
+			if removed[idx] {
 				t.log.Publish(feed.Event{Op: feed.OpDelete, Name: k, Sync: true})
 			}
 		}
 	}
-	return n, err
+	return removed, err
 }
 
 // --- Router: the combined, re-sequenced relay feed over its shards. ---
@@ -282,6 +276,7 @@ func (r *Router) FeedSnapshot(ctx context.Context) ([]feed.Event, uint64, error)
 			seen[ev.Name] = true
 			ev.Seq = head
 			ev.Origin = fmt.Sprintf("shard-%d", id)
+			ev.Version = r.relayVersion(ev.Version)
 			events = append(events, ev)
 		}
 	}
@@ -343,12 +338,13 @@ func (r *Router) startTap(id cloud.SiteID, api API) {
 		defer close(tap.done)
 		for ev := range comb.Events() {
 			r.relay.Publish(feed.Event{
-				Op:     ev.Op,
-				Name:   ev.Name,
-				Value:  ev.Value,
-				Origin: label,
-				Commit: ev.Commit,
-				Sync:   ev.Sync,
+				Op:      ev.Op,
+				Name:    ev.Name,
+				Value:   ev.Value,
+				Version: r.relayVersion(ev.Version),
+				Origin:  label,
+				Commit:  ev.Commit,
+				Sync:    ev.Sync,
 			})
 			tap.relayed.Store(ev.Seq)
 		}
@@ -356,6 +352,18 @@ func (r *Router) startTap(id cloud.SiteID, api API) {
 	r.tapMu.Lock()
 	r.taps[id] = tap
 	r.tapMu.Unlock()
+}
+
+// relayVersion is the version the relay publishes for a shard event. Each
+// replica numbers a key's versions on its own, and a replica that missed a
+// write runs behind, so a replicated tier's relay carries no version (0,
+// unknown): consumers then cannot mistake a newer write on a lagging
+// replica for an older one.
+func (r *Router) relayVersion(v uint64) uint64 {
+	if r.rep > 1 {
+		return 0
+	}
+	return v
 }
 
 // stopTap tears one shard's relay pump down, draining its pending events

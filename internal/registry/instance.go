@@ -20,8 +20,6 @@ type Store interface {
 	Put(key string, value []byte, ttl time.Duration) (memcache.Item, error)
 	CAS(key string, value []byte, ttl time.Duration, expectedVersion uint64) (memcache.Item, error)
 	Delete(key string) error
-	Contains(key string) bool
-	Keys() []string
 	Snapshot() []memcache.Item
 	Len() int
 	Stats() memcache.Stats
@@ -30,7 +28,7 @@ type Store interface {
 	// item than the individual operations.
 	GetBatch(keys []string) (found []memcache.Item, missing []string, err error)
 	PutBatch(kvs []memcache.KV) ([]memcache.Item, error)
-	DeleteBatch(keys []string) (int, error)
+	DeleteBatch(keys []string) (removed []bool, err error)
 }
 
 // Statically assert that both cache flavours implement Store.
@@ -104,14 +102,6 @@ func (i *Instance) Site() cloud.SiteID { return i.site }
 // agent and by tests).
 func (i *Instance) Store() Store { return i.store }
 
-// Len returns the number of entries held by this instance.
-func (i *Instance) Len(ctx context.Context) int {
-	if ctx.Err() != nil {
-		return 0
-	}
-	return i.store.Len()
-}
-
 // Create publishes a new entry. The paper defines a write as a look-up (to
 // verify the entry does not already exist) followed by the actual write; the
 // cache tier's optimistic concurrency lets the instance collapse both into a
@@ -181,14 +171,6 @@ func (i *Instance) Get(ctx context.Context, name string) (Entry, error) {
 	return e, nil
 }
 
-// Contains reports whether an entry with the given name exists.
-func (i *Instance) Contains(ctx context.Context, name string) bool {
-	if ctx.Err() != nil {
-		return false
-	}
-	return i.store.Contains(name)
-}
-
 // Update applies mutate to the current value of the entry and stores the
 // result using optimistic concurrency, retrying on conflicts up to the
 // configured limit. The entry must exist.
@@ -248,14 +230,6 @@ func (i *Instance) Delete(ctx context.Context, name string) error {
 		return fmt.Errorf("delete %q: %w", name, err)
 	}
 	return nil
-}
-
-// Names returns the names of all entries held by this instance.
-func (i *Instance) Names(ctx context.Context) []string {
-	if ctx.Err() != nil {
-		return nil
-	}
-	return i.store.Keys()
 }
 
 // Entries decodes and returns every entry held by this instance. The
@@ -346,9 +320,15 @@ func (i *Instance) DeleteMany(ctx context.Context, names []string) (int, error) 
 	if len(names) == 0 {
 		return 0, nil
 	}
-	n, err := i.store.DeleteBatch(names)
+	removed, err := i.store.DeleteBatch(names)
 	if err != nil {
 		return 0, fmt.Errorf("delete-many: %w", err)
+	}
+	n := 0
+	for _, ok := range removed {
+		if ok {
+			n++
+		}
 	}
 	return n, nil
 }

@@ -37,11 +37,11 @@ type shardRef struct {
 }
 
 // Unavailable returns a placeholder shard whose every operation fails with
-// ErrUnavailable (best-effort operations degrade to their zero answers).
-// Clients building a router over a partially-reachable replicated tier use
-// it to keep an undialable shard's position in the placement — placement
-// derives from the listing order, so the slot cannot simply be skipped —
-// and mark it down so routing draws replica sets from the healthy shards.
+// ErrUnavailable. Clients building a router over a partially-reachable
+// replicated tier use it to keep an undialable shard's position in the
+// placement — placement derives from the listing order, so the slot cannot
+// simply be skipped — and mark it down so routing draws replica sets from
+// the healthy shards.
 func Unavailable(site cloud.SiteID) API { return unavailableShard{site: site} }
 
 type unavailableShard struct{ site cloud.SiteID }
@@ -58,12 +58,10 @@ func (u unavailableShard) Put(context.Context, Entry) (Entry, error) {
 func (u unavailableShard) Get(context.Context, string) (Entry, error) {
 	return Entry{}, errShardUnreachable
 }
-func (u unavailableShard) Contains(context.Context, string) bool { return false }
 func (u unavailableShard) AddLocation(context.Context, string, Location) (Entry, error) {
 	return Entry{}, errShardUnreachable
 }
 func (u unavailableShard) Delete(context.Context, string) error { return errShardUnreachable }
-func (u unavailableShard) Names(context.Context) []string       { return nil }
 func (u unavailableShard) Entries(context.Context) ([]Entry, error) {
 	return nil, errShardUnreachable
 }
@@ -79,7 +77,6 @@ func (u unavailableShard) DeleteMany(context.Context, []string) (int, error) {
 func (u unavailableShard) Merge(context.Context, []Entry) (int, error) {
 	return 0, errShardUnreachable
 }
-func (u unavailableShard) Len(context.Context) int { return 0 }
 
 // replicaIDsLocked resolves the key's home shard IDs under the current
 // placement, primary first. r.mu must be held (read). With replication the
@@ -735,31 +732,6 @@ func (r *Router) getReplicated(ctx context.Context, name string) (Entry, error) 
 		return Entry{}, notFound
 	}
 	return Entry{}, r.shardErr("get", errs)
-}
-
-// containsReplicated mirrors getReplicated for the best-effort existence
-// check: any replica answering true wins; during a sweep the whole tier is
-// consulted before answering false.
-func (r *Router) containsReplicated(ctx context.Context, name string) bool {
-	refs, err := r.replicaSet(name)
-	if err != nil {
-		r.obs.suppressed.Inc()
-		return false
-	}
-	tried := make(map[cloud.SiteID]bool, len(refs))
-	for i, ref := range refs {
-		tried[ref.id] = true
-		if ref.api.Contains(ctx, name) {
-			if i > 0 {
-				r.obs.failovers.Inc()
-			}
-			return true
-		}
-	}
-	if !r.sweepActive() {
-		return false
-	}
-	return r.sweepFallbackContains(ctx, name, tried)
 }
 
 // repGroup is one shard's combined sub-batch of a replicated bulk call: the

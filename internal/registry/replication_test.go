@@ -45,13 +45,6 @@ func (k *killableShard) Get(ctx context.Context, name string) (Entry, error) {
 	return k.API.Get(ctx, name)
 }
 
-func (k *killableShard) Contains(ctx context.Context, name string) bool {
-	if k.dead.Load() {
-		return false
-	}
-	return k.API.Contains(ctx, name)
-}
-
 func (k *killableShard) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
 	if k.dead.Load() {
 		return Entry{}, errShardDown
@@ -64,13 +57,6 @@ func (k *killableShard) Delete(ctx context.Context, name string) error {
 		return errShardDown
 	}
 	return k.API.Delete(ctx, name)
-}
-
-func (k *killableShard) Names(ctx context.Context) []string {
-	if k.dead.Load() {
-		return nil
-	}
-	return k.API.Names(ctx)
 }
 
 func (k *killableShard) Entries(ctx context.Context) ([]Entry, error) {
@@ -106,13 +92,6 @@ func (k *killableShard) Merge(ctx context.Context, entries []Entry) (int, error)
 		return 0, errShardDown
 	}
 	return k.API.Merge(ctx, entries)
-}
-
-func (k *killableShard) Len(ctx context.Context) int {
-	if k.dead.Load() {
-		return 0
-	}
-	return k.API.Len(ctx)
 }
 
 // newReplicatedRouter builds a router over n killable in-process shards with
@@ -193,7 +172,7 @@ func TestRouterReplicatedWritesFanOut(t *testing.T) {
 		}
 		homes := map[cloud.SiteID]bool{refs[0].id: true, refs[1].id: true}
 		for id, inst := range insts {
-			has := inst.Contains(ctx, name)
+			has := mustContain(t, inst, name)
 			if homes[cloud.SiteID(id)] != has {
 				t.Fatalf("entry %q on shard %d: got %v, want %v", name, id, has, homes[cloud.SiteID(id)])
 			}
@@ -201,15 +180,12 @@ func TestRouterReplicatedWritesFanOut(t *testing.T) {
 	}
 
 	// The tier's logical size counts every entry once, not once per replica.
-	if got := r.Len(ctx); got != 128 {
+	if got := mustLen(t, r); got != 128 {
 		t.Fatalf("replicated Len: got %d, want 128", got)
 	}
 	entries, err := r.Entries(ctx)
 	if err != nil || len(entries) != 128 {
 		t.Fatalf("replicated Entries: got %d (%v), want 128", len(entries), err)
-	}
-	if names := r.Names(ctx); len(names) != 128 {
-		t.Fatalf("replicated Names: got %d, want 128", len(names))
 	}
 
 	// Duplicate create still fails, and delete removes every replica.
@@ -220,7 +196,7 @@ func TestRouterReplicatedWritesFanOut(t *testing.T) {
 		t.Fatalf("delete: %v", err)
 	}
 	for id, inst := range insts {
-		if inst.Contains(ctx, "rep/fanout/0") {
+		if mustContain(t, inst, "rep/fanout/0") {
 			t.Fatalf("deleted entry still on shard %d", id)
 		}
 	}
@@ -292,11 +268,6 @@ func (c *opCountingShard) Get(ctx context.Context, name string) (Entry, error) {
 	return c.API.Get(ctx, name)
 }
 
-func (c *opCountingShard) Contains(ctx context.Context, name string) bool {
-	c.ops.Add(1)
-	return c.API.Contains(ctx, name)
-}
-
 func (c *opCountingShard) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
 	c.ops.Add(1)
 	return c.API.AddLocation(ctx, name, loc)
@@ -305,11 +276,6 @@ func (c *opCountingShard) AddLocation(ctx context.Context, name string, loc Loca
 func (c *opCountingShard) Delete(ctx context.Context, name string) error {
 	c.ops.Add(1)
 	return c.API.Delete(ctx, name)
-}
-
-func (c *opCountingShard) Names(ctx context.Context) []string {
-	c.ops.Add(1)
-	return c.API.Names(ctx)
 }
 
 func (c *opCountingShard) Entries(ctx context.Context) ([]Entry, error) {
@@ -404,8 +370,7 @@ func TestRouterDownShardReceivesZeroRoutedOps(t *testing.T) {
 	if _, err := r.Entries(ctx); err != nil {
 		t.Fatalf("entries with shard down: %v", err)
 	}
-	r.Names(ctx)
-	r.Len(ctx)
+	mustLen(t, r)
 	if got := counts[victim].ops.Load(); got != 0 {
 		t.Fatalf("down-marked shard received %d routed operations, want 0", got)
 	}
@@ -475,7 +440,7 @@ func TestRouterShardOutageResync(t *testing.T) {
 		if _, err := r.Get(ctx, name); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("deleted %q resurrected after resync: %v", name, err)
 		}
-		if insts[victim].Contains(ctx, name) {
+		if mustContain(t, insts[victim], name) {
 			t.Fatalf("returned shard still holds stale copy of deleted %q", name)
 		}
 	}
@@ -491,7 +456,7 @@ func TestRouterShardOutageResync(t *testing.T) {
 			homes[ref.id] = true
 		}
 		for id, inst := range insts {
-			if has := inst.Contains(ctx, name); has != homes[cloud.SiteID(id)] {
+			if has := mustContain(t, inst, name); has != homes[cloud.SiteID(id)] {
 				t.Fatalf("after resync, entry %q on shard %d: got %v, want %v", name, id, has, homes[cloud.SiteID(id)])
 			}
 		}
@@ -653,7 +618,7 @@ func TestRouterReplicatedMembershipChange(t *testing.T) {
 	}
 	byID[id] = joined
 
-	if got := r.Len(ctx); got != n {
+	if got := mustLen(t, r); got != n {
 		t.Fatalf("tier size after join: got %d, want %d", got, n)
 	}
 	for _, name := range names {
@@ -666,12 +631,12 @@ func TestRouterReplicatedMembershipChange(t *testing.T) {
 			homes[ref.id] = true
 		}
 		for sid, api := range byID {
-			if has := api.Contains(ctx, name); has != homes[sid] {
+			if has := mustContain(t, api, name); has != homes[sid] {
 				t.Fatalf("after join, entry %q on shard %d: got %v, want %v", name, sid, has, homes[sid])
 			}
 		}
 	}
-	if joined.Len(ctx) == 0 {
+	if mustLen(t, joined) == 0 {
 		t.Fatal("joined shard received no replicas")
 	}
 
@@ -679,10 +644,10 @@ func TestRouterReplicatedMembershipChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Wait()
-	if joined.Len(ctx) != 0 {
-		t.Fatalf("removed shard still holds %d entries", joined.Len(ctx))
+	if mustLen(t, joined) != 0 {
+		t.Fatalf("removed shard still holds %d entries", mustLen(t, joined))
 	}
-	if got := r.Len(ctx); got != n {
+	if got := mustLen(t, r); got != n {
 		t.Fatalf("tier size after leave: got %d, want %d", got, n)
 	}
 	for _, name := range names {
@@ -748,7 +713,7 @@ func TestRouterQuorumDeleteNotResurrectedByResync(t *testing.T) {
 		t.Fatalf("quorum-acknowledged delete resurrected by resync: %v", err)
 	}
 	for id, inst := range insts {
-		if inst.Contains(ctx, name) {
+		if mustContain(t, inst, name) {
 			t.Fatalf("shard %d still holds the deleted entry after resync", id)
 		}
 	}
@@ -775,7 +740,7 @@ func TestRouterQuorumSuppressedFailureRepaired(t *testing.T) {
 	}
 	kills[victim].revive()
 	r.Wait()
-	if !insts[victim].Contains(ctx, name) {
+	if !mustContain(t, insts[victim], name) {
 		t.Fatal("blipped replica was not repaired after a quorum-suppressed put")
 	}
 
@@ -788,7 +753,7 @@ func TestRouterQuorumSuppressedFailureRepaired(t *testing.T) {
 	}
 	kills[victim].revive()
 	r.Wait()
-	if insts[victim].Contains(ctx, name) {
+	if mustContain(t, insts[victim], name) {
 		t.Fatal("blipped replica still holds the entry after a quorum-suppressed delete")
 	}
 	if _, err := r.Get(ctx, name); !errors.Is(err, ErrNotFound) {
@@ -816,11 +781,11 @@ func TestRouterReplicationLargerThanTier(t *testing.T) {
 	}
 	// Every entry on both (all) shards, counted once.
 	for _, inst := range insts {
-		if inst.Len(ctx) != n {
-			t.Fatalf("shard holds %d entries, want %d (all replicas)", inst.Len(ctx), n)
+		if mustLen(t, inst) != n {
+			t.Fatalf("shard holds %d entries, want %d (all replicas)", mustLen(t, inst), n)
 		}
 	}
-	if got := r.Len(ctx); got != n {
+	if got := mustLen(t, r); got != n {
 		t.Fatalf("Len: got %d, want %d", got, n)
 	}
 	deleted, err := r.DeleteMany(ctx, names)
@@ -862,7 +827,7 @@ func TestRouterRepairDoesNotResurrectDeletion(t *testing.T) {
 		t.Fatalf("repair resurrected the deletion: %v", err)
 	}
 	for id, inst := range insts {
-		if inst.Contains(ctx, name) {
+		if mustContain(t, inst, name) {
 			t.Fatalf("shard %d holds the deleted entry after the repair drained", id)
 		}
 	}

@@ -177,7 +177,6 @@ type routerObs struct {
 	failovers   *metrics.Counter // router_failover_reads_total: reads served by a non-primary replica
 	replicaErrs *metrics.Counter // router_replica_write_errors_total: write failures suppressed by the quorum concern
 	repairFails *metrics.Counter // router_replica_repair_failures_total: background replica repairs abandoned after retries
-	suppressed  *metrics.Counter // router_suppressed_errors_total: errors swallowed by best-effort ops
 	hedged      *metrics.Counter // router_hedged_reads_total: hedge legs fired by a slow primary
 	hedgeWins   *metrics.Counter // router_hedge_wins_total: hedged reads answered by the hedge leg
 	coalesced   *metrics.Counter // router_coalesced_reads_total: Gets that joined another caller's in-flight read
@@ -198,7 +197,6 @@ func newRouterObs(reg *metrics.Registry) routerObs {
 		failovers:   reg.Counter("router_failover_reads_total"),
 		replicaErrs: reg.Counter("router_replica_write_errors_total"),
 		repairFails: reg.Counter("router_replica_repair_failures_total"),
-		suppressed:  reg.Counter("router_suppressed_errors_total"),
 		hedged:      reg.Counter("router_hedged_reads_total"),
 		hedgeWins:   reg.Counter("router_hedge_wins_total"),
 		coalesced:   reg.Counter("router_coalesced_reads_total"),
@@ -255,8 +253,7 @@ func WithRouterPlacer(f func(shardIDs []cloud.SiteID) dht.DynamicPlacer) RouterO
 
 // WithRouterMetrics selects the registry the router's instruments report to:
 // the active-shard gauge, bulk-call and sub-batch counters (their ratio is
-// the fan-out factor), migrated-entry and sweep counters, and the
-// suppressed-error counter fed by best-effort operations. The default is
+// the fan-out factor), migrated-entry and sweep counters. The default is
 // metrics.Default; pass nil to disable instrumentation entirely.
 func WithRouterMetrics(reg *metrics.Registry) RouterOption {
 	return func(c *routerConfig) { c.metrics = reg }
@@ -485,7 +482,7 @@ func (r *Router) shardFor(name string) (cloud.SiteID, API, error) {
 }
 
 // snapshotShards returns every shard currently attached — active ones plus
-// any still draining — for full-tier fan-outs (Entries, Names, Len).
+// any still draining — for full-tier fan-outs (Entries).
 func (r *Router) snapshotShards() map[cloud.SiteID]API {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -699,52 +696,6 @@ func (r *Router) getRouted(ctx context.Context, name string) (Entry, error) {
 		return Entry{}, r.shardErr("get", ferrs)
 	}
 	return Entry{}, err
-}
-
-// Contains implements API. It is best-effort like every other
-// implementation; a tier with no shard owning the name reads as "absent" and
-// feeds the suppressed-error counter so the degradation is observable.
-// During a migration sweep a miss at the home shard falls back to the other
-// shards, matching Get.
-func (r *Router) Contains(ctx context.Context, name string) bool {
-	if r.rep > 1 {
-		return r.containsReplicated(ctx, name)
-	}
-	home, api, err := r.shardFor(name)
-	if err != nil {
-		r.obs.suppressed.Inc()
-		return false
-	}
-	if api.Contains(ctx, name) {
-		return true
-	}
-	if !r.sweepActive() {
-		return false
-	}
-	return r.sweepFallbackContains(ctx, name, map[cloud.SiteID]bool{home: true})
-}
-
-// sweepFallbackContains is the best-effort companion of sweepFallbackGet:
-// one concurrent Contains per untried shard.
-func (r *Router) sweepFallbackContains(ctx context.Context, name string, tried map[cloud.SiteID]bool) bool {
-	var (
-		found atomic.Bool
-		wg    sync.WaitGroup
-	)
-	for id, other := range r.snapshotShards() {
-		if tried[id] {
-			continue
-		}
-		wg.Add(1)
-		go func(other API) {
-			defer wg.Done()
-			if other.Contains(ctx, name) {
-				found.Store(true)
-			}
-		}(other)
-	}
-	wg.Wait()
-	return found.Load()
 }
 
 // AddLocation implements API: routed to the shard owning the name.
@@ -1271,66 +1222,6 @@ func (r *Router) Entries(ctx context.Context) ([]Entry, error) {
 	return out, nil
 }
 
-// Names implements API: every shard is queried concurrently and the name
-// sets are unioned. Best-effort like the other implementations — a shard
-// that answers nothing contributes nothing.
-func (r *Router) Names(ctx context.Context) []string {
-	if ctx.Err() != nil {
-		r.obs.suppressed.Inc()
-		return nil
-	}
-	shards := r.reachableShards()
-	r.countBulk(len(shards))
-	var (
-		mu   sync.Mutex
-		seen = make(map[string]bool)
-		wg   sync.WaitGroup
-	)
-	for _, api := range shards {
-		wg.Add(1)
-		go func(api API) {
-			defer wg.Done()
-			names := api.Names(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			for _, n := range names {
-				seen[n] = true
-			}
-		}(api)
-	}
-	wg.Wait()
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len implements API: the shard sizes are summed, querying every shard
-// concurrently like the other full-tier fan-outs (best-effort; an entry
-// mid-migration may briefly count twice). With replication every entry lives
-// on r.rep shards, so the sum over-counts; the replicated tier counts
-// distinct names instead.
-func (r *Router) Len(ctx context.Context) int {
-	if r.rep > 1 {
-		return len(r.Names(ctx))
-	}
-	var (
-		total atomic.Int64
-		wg    sync.WaitGroup
-	)
-	for _, api := range r.snapshotShards() {
-		wg.Add(1)
-		go func(api API) {
-			defer wg.Done()
-			total.Add(int64(api.Len(ctx)))
-		}(api)
-	}
-	wg.Wait()
-	return int(total.Load())
-}
-
 // countBulk feeds the bulk-call and sub-batch counters; their ratio is the
 // observed fan-out factor of the tier.
 func (r *Router) countBulk(subBatches int) {
@@ -1362,8 +1253,8 @@ func (r *Router) AddShard(api API) cloud.SiteID {
 
 // RemoveShard withdraws a shard from placement. Its entries are drained to
 // their new home shards by a background migration sweep, after which the
-// shard is detached entirely; until then full-tier reads (Entries, Names)
-// still see it. Removing the last shard or an unknown ID is an error.
+// shard is detached entirely; until then full-tier reads (Entries) still
+// see it. Removing the last shard or an unknown ID is an error.
 func (r *Router) RemoveShard(id cloud.SiteID) error {
 	r.sweepBegin() // before the placer changes; see AddShard
 	r.mu.Lock()
@@ -1463,16 +1354,27 @@ func (r *Router) rebalance(ctx context.Context) (int, error) {
 		}
 		// A drained shard that no longer participates in placement is
 		// detached once it holds nothing. The placer read and the (possibly
-		// remote, possibly slow) Len call run outside the router lock so a
-		// struggling drained shard never stalls the tier's hot path; only
-		// the map delete itself takes the lock.
+		// remote, possibly slow) emptiness check run outside the router lock
+		// so a struggling drained shard never stalls the tier's hot path;
+		// only the map delete itself takes the lock. A failed check is not
+		// "empty": the shard stays attached and the sweep reports the error
+		// so it is retried.
 		inPlacement := false
 		for _, s := range r.placer.Sites() {
 			if s == id {
 				inPlacement = true
 			}
 		}
-		if !inPlacement && api.Len(ctx) == 0 {
+		if inPlacement {
+			continue
+		}
+		left, err := Len(ctx, api)
+		r.report(id, err)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: emptiness check: %w", id, err))
+			continue
+		}
+		if left == 0 {
 			r.mu.Lock()
 			delete(r.shards, id)
 			r.mu.Unlock()

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"geomds/internal/cloud"
 	"geomds/internal/memcache"
-	"geomds/internal/metrics"
 )
 
 // newShard returns one in-process shard instance backed by an unbounded,
@@ -54,7 +54,7 @@ func TestRouterSingleKeyOpsLandOnHomeShard(t *testing.T) {
 		}
 		home := r.Home(name)
 		for id, inst := range shards {
-			has := inst.Contains(ctx, name)
+			has := mustContain(t, inst, name)
 			if id == home && !has {
 				t.Fatalf("entry %q missing from its home shard %d", name, id)
 			}
@@ -274,7 +274,7 @@ func TestRouterPartialFailureWrapsUnavailable(t *testing.T) {
 	// on the dead shard is present.
 	applied := 0
 	for _, inst := range healthy {
-		applied += inst.Len(ctx)
+		applied += mustLen(t, inst)
 	}
 	if applied == 0 {
 		t.Fatal("partial failure should leave healthy shards' sub-batches applied")
@@ -321,14 +321,14 @@ func TestRouterMembershipChangeMigratesEntries(t *testing.T) {
 	if got := r.ShardCount(); got != 3 {
 		t.Fatalf("shard count after join: got %d, want 3", got)
 	}
-	if r.Len(ctx) != n {
-		t.Fatalf("tier size after join: got %d, want %d", r.Len(ctx), n)
+	if mustLen(t, r) != n {
+		t.Fatalf("tier size after join: got %d, want %d", mustLen(t, r), n)
 	}
 	misplaced := 0
 	for _, name := range names {
 		home := r.Home(name)
 		for sid, inst := range shards {
-			if inst.Contains(ctx, name) != (sid == home) {
+			if mustContain(t, inst, name) != (sid == home) {
 				misplaced++
 				break
 			}
@@ -341,7 +341,7 @@ func TestRouterMembershipChangeMigratesEntries(t *testing.T) {
 		t.Fatalf("%d entries not at their home shard after the join sweep", misplaced)
 	}
 	// Consistent hashing: the join moved roughly 1/3 of the keys, not all.
-	if moved := third.Len(ctx); moved == 0 || moved > (2*n)/3 {
+	if moved := mustLen(t, third); moved == 0 || moved > (2*n)/3 {
 		t.Fatalf("join moved %d of %d keys; consistent hashing should move about 1/3", moved, n)
 	}
 
@@ -353,11 +353,11 @@ func TestRouterMembershipChangeMigratesEntries(t *testing.T) {
 	if got := r.ShardCount(); got != 2 {
 		t.Fatalf("shard count after leave: got %d, want 2", got)
 	}
-	if third.Len(ctx) != 0 {
-		t.Fatalf("removed shard still holds %d entries after drain", third.Len(ctx))
+	if mustLen(t, third) != 0 {
+		t.Fatalf("removed shard still holds %d entries after drain", mustLen(t, third))
 	}
-	if r.Len(ctx) != n {
-		t.Fatalf("tier size after leave: got %d, want %d", r.Len(ctx), n)
+	if mustLen(t, r) != n {
+		t.Fatalf("tier size after leave: got %d, want %d", mustLen(t, r), n)
 	}
 	for _, name := range names {
 		if _, err := r.Get(ctx, name); err != nil {
@@ -465,11 +465,11 @@ func TestRouterDeleteDuringSweepNotResurrected(t *testing.T) {
 	if _, err := r.Get(ctx, victim); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted entry came back after the sweep: %v", err)
 	}
-	if second.Contains(ctx, victim) || first.Contains(ctx, victim) {
+	if mustContain(t, second, victim) || mustContain(t, first, victim) {
 		t.Fatal("a shard still holds the entry deleted during the sweep")
 	}
 	// Everything else migrated and survived.
-	if got := r.Len(ctx); got != n-1 {
+	if got := mustLen(t, r); got != n-1 {
 		t.Fatalf("tier holds %d entries after the sweep, want %d", got, n-1)
 	}
 }
@@ -521,7 +521,7 @@ func TestRouterRecreateAfterDeleteDuringSweepSurvives(t *testing.T) {
 	if _, err := r.Get(ctx, victim); err != nil {
 		t.Fatalf("re-created entry was lost after the sweep: %v", err)
 	}
-	if got := r.Len(ctx); got != n {
+	if got := mustLen(t, r); got != n {
 		t.Fatalf("tier holds %d entries after the sweep, want %d", got, n)
 	}
 }
@@ -561,7 +561,7 @@ func TestRouterGetFallsBackDuringSweep(t *testing.T) {
 	if _, err := r.Get(ctx, moved); err != nil {
 		t.Fatalf("get of a not-yet-migrated entry during the sweep: %v", err)
 	}
-	if !r.Contains(ctx, moved) {
+	if !mustContain(t, r, moved) {
 		t.Fatal("contains of a not-yet-migrated entry during the sweep: got false")
 	}
 	// Bulk reads fall back the same way: no entry may be silently dropped.
@@ -580,17 +580,21 @@ func TestRouterGetFallsBackDuringSweep(t *testing.T) {
 	}
 }
 
-func TestRouterBestEffortOpsFeedSuppressedCounter(t *testing.T) {
-	reg := metrics.NewRegistry()
-	r, _ := newTestRouter(t, 2, WithRouterMetrics(reg))
-
+// TestRouterHelpersSurfaceCancellation asserts that Contains and Len over a
+// router return the caller's cancellation instead of reading it as
+// "absent" or "empty".
+func TestRouterHelpersSurfaceCancellation(t *testing.T) {
+	r, _ := newTestRouter(t, 2)
+	if _, err := r.Create(context.Background(), testEntry("present")); err != nil {
+		t.Fatal(err)
+	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if names := r.Names(cancelled); names != nil {
-		t.Fatalf("names on cancelled context: got %v, want nil", names)
+	if ok, err := Contains(cancelled, r, "present"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Contains on a cancelled context = %v, %v; want context.Canceled", ok, err)
 	}
-	if got := reg.Counter("router_suppressed_errors_total").Value(); got == 0 {
-		t.Fatal("suppressed-error counter not incremented by best-effort Names on a cancelled context")
+	if n, err := Len(cancelled, r); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Len on a cancelled context = %d, %v; want context.Canceled", n, err)
 	}
 }
 
@@ -613,16 +617,83 @@ func TestRouterEntriesAndNamesUnionShards(t *testing.T) {
 	if len(entries) != n {
 		t.Fatalf("entries: got %d, want %d", len(entries), n)
 	}
-	names := r.Names(ctx)
-	if len(names) != n {
-		t.Fatalf("names: got %d, want %d", len(names), n)
-	}
-	for _, name := range names {
-		if !want[name] {
-			t.Fatalf("unexpected name %q", name)
+	for _, e := range entries {
+		if !want[e.Name] {
+			t.Fatalf("unexpected name %q", e.Name)
 		}
 	}
-	if r.Len(ctx) != n {
-		t.Fatalf("len: got %d, want %d", r.Len(ctx), n)
+	if mustLen(t, r) != n {
+		t.Fatalf("len: got %d, want %d", mustLen(t, r), n)
+	}
+}
+
+// strandedShard is a shard that gains a straggler entry right after a drain
+// sweep's cleanup (a write through some other router) and then stops
+// answering full-tier reads, so the emptiness check that follows fails.
+type strandedShard struct {
+	*Instance
+	struck, down atomic.Bool
+}
+
+func (s *strandedShard) DeleteMany(ctx context.Context, names []string) (int, error) {
+	n, err := s.Instance.DeleteMany(ctx, names)
+	if err == nil && s.struck.CompareAndSwap(false, true) {
+		if _, perr := s.Instance.Put(ctx, testEntry("straggler")); perr != nil {
+			return n, perr
+		}
+		s.down.Store(true)
+	}
+	return n, err
+}
+
+func (s *strandedShard) Entries(ctx context.Context) ([]Entry, error) {
+	if s.down.Load() {
+		return nil, fmt.Errorf("stranded shard: %w", ErrUnavailable)
+	}
+	return s.Instance.Entries(ctx)
+}
+
+// TestRouterKeepsDrainedShardWhoseEmptinessCheckFails asserts that a drained
+// shard is detached only on proof that it is empty: when the check fails,
+// the shard stays in the tier (its straggler is not lost) and a later clean
+// sweep migrates the straggler and detaches it.
+func TestRouterKeepsDrainedShardWhoseEmptinessCheckFails(t *testing.T) {
+	ctx := context.Background()
+	r, _ := newTestRouter(t, 2)
+	stranded := &strandedShard{Instance: newShard(7)}
+	id := r.AddShard(stranded)
+	r.Wait()
+	for i := 0; i < 60; i++ {
+		if _, err := r.Create(ctx, testEntry(fmt.Sprintf("drain/%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := mustLen(t, stranded.Instance); n == 0 {
+		t.Fatal("no entries landed on the shard about to be removed")
+	}
+
+	if err := r.RemoveShard(id); err != nil {
+		t.Fatal(err)
+	}
+	r.Wait()
+	if _, attached := r.snapshotShards()[id]; !attached {
+		t.Fatal("drained shard detached although its emptiness check failed")
+	}
+	if n := mustLen(t, stranded.Instance); n != 1 {
+		t.Fatalf("stranded shard holds %d entries, want the straggler only", n)
+	}
+
+	stranded.down.Store(false)
+	if _, err := r.Rebalance(ctx); err != nil {
+		t.Fatalf("rebalance after recovery: %v", err)
+	}
+	if _, attached := r.snapshotShards()[id]; attached {
+		t.Fatal("drained shard still attached after a clean sweep")
+	}
+	if _, err := r.Get(ctx, "straggler"); err != nil {
+		t.Fatalf("straggler lost: %v", err)
+	}
+	if n := mustLen(t, r); n != 61 {
+		t.Fatalf("tier holds %d entries, want 61", n)
 	}
 }

@@ -89,14 +89,6 @@ func (s *restartableShard) Get(ctx context.Context, name string) (Entry, error) 
 	return api.Get(ctx, name)
 }
 
-func (s *restartableShard) Contains(ctx context.Context, name string) bool {
-	api, err := s.api()
-	if err != nil {
-		return false
-	}
-	return api.Contains(ctx, name)
-}
-
 func (s *restartableShard) AddLocation(ctx context.Context, name string, loc Location) (Entry, error) {
 	api, err := s.api()
 	if err != nil {
@@ -111,14 +103,6 @@ func (s *restartableShard) Delete(ctx context.Context, name string) error {
 		return err
 	}
 	return api.Delete(ctx, name)
-}
-
-func (s *restartableShard) Names(ctx context.Context) []string {
-	api, err := s.api()
-	if err != nil {
-		return nil
-	}
-	return api.Names(ctx)
 }
 
 func (s *restartableShard) Entries(ctx context.Context) ([]Entry, error) {
@@ -161,14 +145,6 @@ func (s *restartableShard) Merge(ctx context.Context, entries []Entry) (int, err
 	return api.Merge(ctx, entries)
 }
 
-func (s *restartableShard) Len(ctx context.Context) int {
-	api, err := s.api()
-	if err != nil {
-		return 0
-	}
-	return api.Len(ctx)
-}
-
 // openDurableShard opens a persistent instance over dir with the given
 // fsync policy.
 func openDurableShard(t *testing.T, site cloud.SiteID, dir string, opts ...store.Option) *Instance {
@@ -209,7 +185,7 @@ func TestInstanceStorageRoundTrip(t *testing.T) {
 	if got, _ := re.DurableSeq(); got != seq {
 		t.Errorf("recovered DurableSeq = %d, want %d", got, seq)
 	}
-	if n := re.Len(ctx); n != 4 {
+	if n := mustLen(t, re); n != 4 {
 		t.Errorf("recovered Len = %d, want 4", n)
 	}
 	e, err := re.Get(ctx, "f/1")
@@ -251,7 +227,7 @@ func TestInstanceCloseLosslessRelaxedFsync(t *testing.T) {
 
 	re := openDurableShard(t, 3, dir, store.WithFsync(store.FsyncNever))
 	defer re.Close()
-	if n := re.Len(ctx); n != 50 {
+	if n := mustLen(t, re); n != 50 {
 		t.Errorf("reopen after relaxed-fsync Close: Len = %d, want 50", n)
 	}
 }

@@ -61,28 +61,26 @@ type Client struct {
 // dial time so the hot path never touches the registry's name map. All
 // fields tolerate being nil (instrumentation disabled).
 type clientObs struct {
-	inflight   *metrics.Gauge     // rpc_client_inflight: calls currently waiting on the wire
-	calls      *metrics.Counter   // rpc_client_calls_total: round trips attempted
-	errors     *metrics.Counter   // rpc_client_errors_total: round trips that failed
-	retired    *metrics.Counter   // rpc_client_retired_total: calls abandoned because their context ended
-	dials      *metrics.Counter   // rpc_client_dials_total: TCP connections established
-	suppressed *metrics.Counter   // rpc_client_suppressed_errors_total: transport errors swallowed by best-effort ops
-	batchOps   *metrics.Histogram // rpc_client_batch_ops: operations carried per batch frame
-	latency    *metrics.Histogram // rpc_client_latency_ns: round-trip latency
-	trace      *metrics.TraceRing // recent per-call events
+	inflight *metrics.Gauge     // rpc_client_inflight: calls currently waiting on the wire
+	calls    *metrics.Counter   // rpc_client_calls_total: round trips attempted
+	errors   *metrics.Counter   // rpc_client_errors_total: round trips that failed
+	retired  *metrics.Counter   // rpc_client_retired_total: calls abandoned because their context ended
+	dials    *metrics.Counter   // rpc_client_dials_total: TCP connections established
+	batchOps *metrics.Histogram // rpc_client_batch_ops: operations carried per batch frame
+	latency  *metrics.Histogram // rpc_client_latency_ns: round-trip latency
+	trace    *metrics.TraceRing // recent per-call events
 }
 
 func newClientObs(reg *metrics.Registry) clientObs {
 	return clientObs{
-		inflight:   reg.Gauge("rpc_client_inflight"),
-		calls:      reg.Counter("rpc_client_calls_total"),
-		errors:     reg.Counter("rpc_client_errors_total"),
-		retired:    reg.Counter("rpc_client_retired_total"),
-		dials:      reg.Counter("rpc_client_dials_total"),
-		suppressed: reg.Counter("rpc_client_suppressed_errors_total"),
-		batchOps:   reg.Histogram("rpc_client_batch_ops"),
-		latency:    reg.Histogram("rpc_client_latency_ns"),
-		trace:      reg.Trace(),
+		inflight: reg.Gauge("rpc_client_inflight"),
+		calls:    reg.Counter("rpc_client_calls_total"),
+		errors:   reg.Counter("rpc_client_errors_total"),
+		retired:  reg.Counter("rpc_client_retired_total"),
+		dials:    reg.Counter("rpc_client_dials_total"),
+		batchOps: reg.Histogram("rpc_client_batch_ops"),
+		latency:  reg.Histogram("rpc_client_latency_ns"),
+		trace:    reg.Trace(),
 	}
 }
 
@@ -206,20 +204,6 @@ func (c *Client) Get(ctx context.Context, name string) (registry.Entry, error) {
 	return c.entryCall(ctx, Request{Op: OpGet, Name: name})
 }
 
-// Contains implements registry.API. Transport errors and cancelled contexts
-// are reported as "does not contain", matching the best-effort semantics of
-// the in-process Contains; every swallowed failure feeds the
-// rpc_client_suppressed_errors_total counter so the degradation is
-// observable even though the API hides it.
-func (c *Client) Contains(ctx context.Context, name string) bool {
-	resp, err := c.call(ctx, Request{Op: OpContains, Name: name})
-	if err != nil {
-		c.obs.suppressed.Inc()
-		return false
-	}
-	return resp.Bool
-}
-
 // AddLocation implements registry.API.
 func (c *Client) AddLocation(ctx context.Context, name string, loc registry.Location) (registry.Entry, error) {
 	return c.entryCall(ctx, Request{Op: OpAddLoc, Name: name, Location: loc})
@@ -232,17 +216,6 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 		return err
 	}
 	return decodeRespErr(resp)
-}
-
-// Names implements registry.API. Transport errors yield an empty list and
-// feed the suppressed-error counter (see Contains).
-func (c *Client) Names(ctx context.Context) []string {
-	resp, err := c.call(ctx, Request{Op: OpNames})
-	if err != nil {
-		c.obs.suppressed.Inc()
-		return nil
-	}
-	return resp.Names
 }
 
 // Entries implements registry.API.
@@ -310,17 +283,6 @@ func (c *Client) Merge(ctx context.Context, entries []registry.Entry) (int, erro
 		return 0, decodeRespErr(resp)
 	}
 	return resp.N, nil
-}
-
-// Len implements registry.API. Transport errors yield zero and feed the
-// suppressed-error counter (see Contains).
-func (c *Client) Len(ctx context.Context) int {
-	resp, err := c.call(ctx, Request{Op: OpLen})
-	if err != nil {
-		c.obs.suppressed.Inc()
-		return 0
-	}
-	return resp.N
 }
 
 // Batch sends many registry operations to the server in a single frame and

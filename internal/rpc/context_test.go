@@ -125,7 +125,7 @@ func TestDeadlinePropagatesToServer(t *testing.T) {
 	if got := decodeErr(rf.Resp.Err, rf.Resp.Detail); !errors.Is(got, context.DeadlineExceeded) {
 		t.Errorf("decoded error = %v, want context.DeadlineExceeded", got)
 	}
-	if inst.Len(tctx) != 0 {
+	if entryCount(t, inst) != 0 {
 		t.Error("server executed an operation whose deadline had passed")
 	}
 	if srv.Abandoned() != 1 {
@@ -170,7 +170,7 @@ func TestServerAbandonsBatchAfterDeadline(t *testing.T) {
 	if srv.Abandoned() == 0 {
 		t.Fatal("server never abandoned the post-deadline batch operation")
 	}
-	if inst.Contains(tctx, "late-entry") {
+	if holds(t, inst, "late-entry") {
 		t.Error("server executed a batch operation after the propagated deadline passed")
 	}
 	// The connection survived the abandoned batch.
@@ -248,7 +248,7 @@ func TestCoreFabricOverRPCWithDeadlines(t *testing.T) {
 		}
 		cancel()
 	}
-	if api.Len(tctx) != 5 {
-		t.Errorf("Len = %d, want 5", api.Len(tctx))
+	if entryCount(t, api) != 5 {
+		t.Errorf("Len = %d, want 5", entryCount(t, api))
 	}
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -173,11 +174,11 @@ func TestClientRetiredOnCancelCounter(t *testing.T) {
 	}
 }
 
-// TestClientSuppressedErrorCounter asserts the best-effort operations
-// (Contains, Names, Len) count the transport errors they swallow, so a site
-// silently degrading to "absent / empty / zero" answers is observable.
-func TestClientSuppressedErrorCounter(t *testing.T) {
-	reg := metrics.NewRegistry()
+// TestHelpersReturnTransportErrors asserts that the registry.Contains and
+// registry.Len helpers, run against the wire, answer truthfully while the
+// server is up and surface the transport failure — never "absent" or
+// "empty" — once the server is gone or the client is closed.
+func TestHelpersReturnTransportErrors(t *testing.T) {
 	inst := registry.NewInstance(cloud.SiteID(1), memcache.New(memcache.Config{}))
 	srv := NewServer(inst, nil)
 	addr, err := srv.Start("127.0.0.1:0")
@@ -186,42 +187,42 @@ func TestClientSuppressedErrorCounter(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	cl, err := Dial(ctx, addr, WithMetrics(reg), WithTimeout(500*time.Millisecond))
+	cl, err := Dial(ctx, addr, WithTimeout(500*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-
 	if _, err := cl.Create(ctx, registry.NewEntry("seed", 1, "t", registry.Location{Site: 1})); err != nil {
 		t.Fatal(err)
 	}
-	suppressed := reg.Counter("rpc_client_suppressed_errors_total")
 
-	// Healthy server: best-effort ops answer truthfully and swallow nothing.
-	if !cl.Contains(ctx, "seed") || len(cl.Names(ctx)) != 1 || cl.Len(ctx) != 1 {
-		t.Fatal("best-effort ops gave wrong answers against a healthy server")
+	if ok, err := registry.Contains(ctx, cl, "seed"); !ok || err != nil {
+		t.Fatalf("Contains(seed) = %v, %v against a healthy server", ok, err)
 	}
-	if got := suppressed.Value(); got != 0 {
-		t.Fatalf("suppressed = %d against a healthy server, want 0", got)
+	if ok, err := registry.Contains(ctx, cl, "ghost"); ok || err != nil {
+		t.Fatalf("Contains(ghost) = %v, %v; want false, nil", ok, err)
+	}
+	if n, err := registry.Len(ctx, cl); n != 1 || err != nil {
+		t.Fatalf("Len = %d, %v against a healthy server", n, err)
 	}
 
-	// Dead server: the same calls degrade to absent/empty/zero — and each
-	// swallowed failure is counted.
+	check := func(when string) {
+		t.Helper()
+		if ok, err := registry.Contains(ctx, cl, "seed"); !errors.Is(err, registry.ErrUnavailable) || ok {
+			t.Fatalf("Contains %s = %v, %v; want false and an ErrUnavailable error", when, ok, err)
+		}
+		if n, err := registry.Len(ctx, cl); !errors.Is(err, registry.ErrUnavailable) || n != 0 {
+			t.Fatalf("Len %s = %d, %v; want an ErrUnavailable error", when, n, err)
+		}
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Contains(ctx, "seed") {
-		t.Fatal("Contains should read absent once the server is gone")
+	check("after the server closed")
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if names := cl.Names(ctx); names != nil {
-		t.Fatalf("Names should be empty once the server is gone, got %v", names)
-	}
-	if n := cl.Len(ctx); n != 0 {
-		t.Fatalf("Len should be 0 once the server is gone, got %d", n)
-	}
-	if got := suppressed.Value(); got != 3 {
-		t.Fatalf("suppressed = %d after three degraded best-effort calls, want 3", got)
-	}
+	check("on a closed client")
 }
 
 func httpGet(t *testing.T, url string) string {

@@ -137,10 +137,10 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 	ops = append(ops,
 		Request{Op: OpGet, Name: "b2"},
-		Request{Op: OpContains, Name: "b3"},
+		Request{Op: OpGetMany, Names: []string{"b3", "absent"}},
 		Request{Op: OpDelete, Name: "b0"},
 		Request{Op: OpGet, Name: "b0"}, // must fail: deleted by the previous op
-		Request{Op: OpLen},
+		Request{Op: OpEntries},
 	)
 
 	batchResps, err := batched.Batch(tctx, ops)
@@ -161,11 +161,11 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 	for i := range ops {
 		b, s := batchResps[i], singleResps[i]
-		if b.OK != s.OK || b.Err != s.Err || b.Bool != s.Bool || b.N != s.N || !b.Entry.Equal(s.Entry) {
+		if b.OK != s.OK || b.Err != s.Err || len(b.Entries) != len(s.Entries) || b.N != s.N || !b.Entry.Equal(s.Entry) {
 			t.Errorf("op %d (%s): batch=%+v per-op=%+v", i, ops[i].Op, b, s)
 		}
 	}
-	if got, want := batched.Len(tctx), perOp.Len(tctx); got != want {
+	if got, want := entryCount(t, batched), entryCount(t, perOp); got != want {
 		t.Errorf("final Len: batch server %d, per-op server %d", got, want)
 	}
 }
@@ -190,8 +190,8 @@ func TestPutManyDeleteManyOverWire(t *testing.T) {
 			t.Errorf("stored[%d] has no version", i)
 		}
 	}
-	if client.Len(tctx) != 6 {
-		t.Errorf("Len = %d, want 6", client.Len(tctx))
+	if entryCount(t, client) != 6 {
+		t.Errorf("Len = %d, want 6", entryCount(t, client))
 	}
 	n, err := client.DeleteMany(tctx, []string{"pm0", "pm1", "absent", "pm2"})
 	if err != nil {
@@ -200,8 +200,8 @@ func TestPutManyDeleteManyOverWire(t *testing.T) {
 	if n != 3 {
 		t.Errorf("DeleteMany removed %d, want 3 (absent names are skipped)", n)
 	}
-	if client.Len(tctx) != 3 {
-		t.Errorf("Len after DeleteMany = %d, want 3", client.Len(tctx))
+	if entryCount(t, client) != 3 {
+		t.Errorf("Len after DeleteMany = %d, want 3", entryCount(t, client))
 	}
 	if _, err := client.PutMany(tctx, nil); err != nil {
 		t.Errorf("empty PutMany: %v", err)

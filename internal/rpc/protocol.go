@@ -226,30 +226,29 @@ type ResponseFrame struct {
 // Op identifies the requested registry operation.
 type Op string
 
-// Supported operations. They mirror registry.API one-to-one.
+// Supported operations. They mirror registry.API one-to-one. The retired
+// best-effort ops "contains", "names" and "len" are unknown to the server
+// and answer bad-op like any other unknown op.
 const (
 	OpPing       Op = "ping"
 	OpSite       Op = "site"
 	OpCreate     Op = "create"
 	OpPut        Op = "put"
 	OpGet        Op = "get"
-	OpContains   Op = "contains"
 	OpAddLoc     Op = "addloc"
 	OpDelete     Op = "delete"
-	OpNames      Op = "names"
 	OpEntries    Op = "entries"
 	OpGetMany    Op = "getmany"
 	OpPutMany    Op = "putmany"
 	OpDeleteMany Op = "deletemany"
 	OpMerge      Op = "merge"
-	OpLen        Op = "len"
 )
 
 // Request is one client-to-server operation.
 type Request struct {
 	// Op selects the operation.
 	Op Op
-	// Name is the entry name for Get/Contains/AddLoc/Delete.
+	// Name is the entry name for Get/AddLoc/Delete.
 	Name string
 	// Names carries the name list for GetMany/DeleteMany.
 	Names []string
@@ -273,11 +272,7 @@ type Response struct {
 	Entry registry.Entry
 	// Entries is the result of Entries/GetMany/PutMany.
 	Entries []registry.Entry
-	// Names is the result of Names.
-	Names []string
-	// Bool is the result of Contains.
-	Bool bool
-	// N is the result of Len/Merge/DeleteMany, and carries the SiteID for
+	// N is the result of Merge/DeleteMany, and carries the SiteID for
 	// OpSite.
 	N int
 	// RetryAfterNs is the backoff hint in nanoseconds accompanying an

@@ -9,11 +9,34 @@ import (
 	"time"
 
 	"geomds/internal/cloud"
+	"geomds/internal/feed"
+	"geomds/internal/limits"
 	"geomds/internal/memcache"
+	"geomds/internal/metrics"
 	"geomds/internal/registry"
 )
 
 var tctx = context.Background()
+
+// entryCount is registry.Len, failing the test on error.
+func entryCount(t testing.TB, api registry.API) int {
+	t.Helper()
+	n, err := registry.Len(tctx, api)
+	if err != nil {
+		t.Fatalf("counting entries: %v", err)
+	}
+	return n
+}
+
+// holds is registry.Contains, failing the test on error.
+func holds(t testing.TB, api registry.API, name string) bool {
+	t.Helper()
+	ok, err := registry.Contains(tctx, api, name)
+	if err != nil {
+		t.Fatalf("checking %q: %v", name, err)
+	}
+	return ok
+}
 
 // startTestServer brings up a server on a random localhost port and returns a
 // connected client. Both are torn down when the test finishes.
@@ -68,11 +91,11 @@ func TestCreateGetOverWire(t *testing.T) {
 	if !got.Equal(e) {
 		t.Errorf("Get = %+v, want %+v", got, e)
 	}
-	if !client.Contains(tctx, "wire-1") || client.Contains(tctx, "nope") {
+	if !holds(t, client, "wire-1") || holds(t, client, "nope") {
 		t.Error("Contains misbehaves")
 	}
-	if client.Len(tctx) != 1 {
-		t.Errorf("Len = %d, want 1", client.Len(tctx))
+	if entryCount(t, client) != 1 {
+		t.Errorf("Len = %d, want 1", entryCount(t, client))
 	}
 }
 
@@ -114,7 +137,7 @@ func TestUpdateDeleteOverWire(t *testing.T) {
 	if err := client.Delete(tctx, "upd"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if client.Contains(tctx, "upd") {
+	if holds(t, client, "upd") {
 		t.Error("entry still present after delete")
 	}
 }
@@ -134,10 +157,6 @@ func TestPutNamesEntriesMergeOverWire(t *testing.T) {
 	}
 	if _, err := client.Put(tctx, wireEntry("m0")); err != nil {
 		t.Errorf("Put: %v", err)
-	}
-	names := client.Names(tctx)
-	if len(names) != 5 {
-		t.Errorf("Names = %d, want 5", len(names))
 	}
 	entries, err := client.Entries(tctx)
 	if err != nil || len(entries) != 5 {
@@ -180,8 +199,8 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if first.Len(tctx) != clients*perClient {
-		t.Errorf("server holds %d entries, want %d", first.Len(tctx), clients*perClient)
+	if entryCount(t, first) != clients*perClient {
+		t.Errorf("server holds %d entries, want %d", entryCount(t, first), clients*perClient)
 	}
 	if srv.Requests() == 0 {
 		t.Error("server request counter did not advance")
@@ -262,6 +281,50 @@ func TestBadOpRejected(t *testing.T) {
 	}
 }
 
+// TestRetiredOpsAnswerBadOp asserts that the retired best-effort ops
+// ("contains", "names", "len") are refused with a clean bad-op error frame,
+// alone or inside a batch, and that the connection keeps serving.
+func TestRetiredOpsAnswerBadOp(t *testing.T) {
+	inst := registry.NewInstance(0, memcache.New(memcache.Config{}))
+	srv := NewServer(inst, nil)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	reg := metrics.NewRegistry()
+	client, err := Dial(tctx, addr, WithPoolSize(1), WithTimeout(5*time.Second), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	if _, err := client.Create(tctx, wireEntry("kept")); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Op{"contains", "names", "len"} {
+		resp, err := client.call(tctx, Request{Op: op, Name: "kept"})
+		if err != nil {
+			t.Fatalf("%s: transport error %v, want a bad-op frame", op, err)
+		}
+		if resp.OK || resp.Err != ErrBadOp {
+			t.Errorf("%s answered %+v, want bad-op", op, resp)
+		}
+		resps, err := client.Batch(tctx, []Request{{Op: op}, {Op: OpGet, Name: "kept"}})
+		if err != nil {
+			t.Fatalf("batch with %s: %v", op, err)
+		}
+		if resps[0].OK || resps[0].Err != ErrBadOp || !resps[1].OK {
+			t.Errorf("batch with %s answered %+v, want bad-op then the entry", op, resps)
+		}
+		if _, err := client.Get(tctx, "kept"); err != nil {
+			t.Fatalf("Get after %s: %v", op, err)
+		}
+	}
+	if got := reg.Counter("rpc_client_dials_total").Value(); got != 1 {
+		t.Errorf("dials = %d, want 1: a retired op must not cost the connection", got)
+	}
+}
+
 func TestCoreFabricOverRPC(t *testing.T) {
 	// End-to-end: four registry servers (one per site) driven through the
 	// strategies via rpc clients plugged into the fabric. Exercised more
@@ -291,5 +354,66 @@ func TestCoreFabricOverRPC(t *testing.T) {
 	got, err := proxies[2].Get(tctx, "fabric-over-rpc")
 	if err != nil || !got.Equal(e) {
 		t.Errorf("Get via proxy: %v", err)
+	}
+}
+
+// TestErrorCodesRoundTrip asserts every classified error keeps its sentinel
+// across encode/decode, feed sentinels included, and that anything
+// unclassified travels as an opaque internal error.
+func TestErrorCodesRoundTrip(t *testing.T) {
+	for _, sentinel := range []error{
+		registry.ErrNotFound, registry.ErrExists, registry.ErrConflict,
+		registry.ErrInvalidEntry, registry.ErrUnavailable,
+		context.DeadlineExceeded, context.Canceled, limits.ErrOverloaded,
+		feed.ErrLagged, feed.ErrClosed, feed.ErrCompacted,
+	} {
+		code, detail := encodeFeedErr(fmt.Errorf("op: %w", sentinel))
+		if err := decodeFeedErr(Response{Err: code, Detail: detail}); !errors.Is(err, sentinel) {
+			t.Errorf("%v: encoded as %q, decoded to %v", sentinel, code, err)
+		}
+	}
+	code, detail := encodeErr(errors.New("disk on fire"))
+	if code != ErrInternal {
+		t.Fatalf("unclassified error encoded as %q, want %q", code, ErrInternal)
+	}
+	if err := decodeErr(code, detail); err == nil || errors.Is(err, registry.ErrUnavailable) {
+		t.Fatalf("internal error decoded to %v", err)
+	}
+	if code, _ := encodeErr(nil); code != ErrNone || decodeErr(ErrNone, "") != nil {
+		t.Fatal("nil error must round-trip as no error")
+	}
+}
+
+// TestGetManyOverWire exercises the bulk read frame through a pooled client
+// against a server with a bounded per-connection pipeline.
+func TestGetManyOverWire(t *testing.T) {
+	inst := registry.NewInstance(0, memcache.New(memcache.Config{}))
+	srv := NewServer(inst, nil, WithMaxInflight(2))
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	client, err := Dial(tctx, addr, WithPoolSize(3), WithTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	if client.PoolSize() != 3 {
+		t.Fatalf("PoolSize = %d, want 3", client.PoolSize())
+	}
+	for _, name := range []string{"g1", "g2"} {
+		if _, err := client.Create(tctx, wireEntry(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := client.GetMany(tctx, []string{"g1", "absent", "g2"})
+	if err != nil || len(got) != 2 || got[0].Name != "g1" || got[1].Name != "g2" {
+		t.Fatalf("GetMany = %+v, %v; want g1 and g2", got, err)
+	}
+	cancelled, cancel := context.WithCancel(tctx)
+	cancel()
+	if _, err := client.GetMany(cancelled, []string{"g1"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("GetMany on a cancelled context = %v, want context.Canceled", err)
 	}
 }

@@ -548,8 +548,6 @@ func (s *Server) execute(ctx context.Context, req Request) Response {
 	case OpGet:
 		e, err := s.reg.Get(ctx, req.Name)
 		return result(e, err)
-	case OpContains:
-		return Response{OK: true, Bool: s.reg.Contains(ctx, req.Name)}
 	case OpAddLoc:
 		e, err := s.reg.AddLocation(ctx, req.Name, req.Location)
 		return result(e, err)
@@ -558,8 +556,6 @@ func (s *Server) execute(ctx context.Context, req Request) Response {
 			return failure(err)
 		}
 		return Response{OK: true}
-	case OpNames:
-		return Response{OK: true, Names: s.reg.Names(ctx)}
 	case OpEntries:
 		entries, err := s.reg.Entries(ctx)
 		if err != nil {
@@ -590,8 +586,6 @@ func (s *Server) execute(ctx context.Context, req Request) Response {
 			return failure(err)
 		}
 		return Response{OK: true, N: n}
-	case OpLen:
-		return Response{OK: true, N: s.reg.Len(ctx)}
 	case OpWatch:
 		// Watching is a streaming exchange: it cannot be expressed in the
 		// one-response-per-request protocol, so version-1 clients (and

@@ -99,14 +99,17 @@ type WatchEvent struct {
 	Origin string
 	Commit int64
 	Sync   bool
+	// Version is feed.Event.Version; a version-2 extension tolerated as
+	// absent by gob.
+	Version uint64
 }
 
 func toWireEvent(ev feed.Event) WatchEvent {
-	return WatchEvent{Seq: ev.Seq, Op: byte(ev.Op), Name: ev.Name, Value: ev.Value, Origin: ev.Origin, Commit: ev.Commit, Sync: ev.Sync}
+	return WatchEvent{Seq: ev.Seq, Op: byte(ev.Op), Name: ev.Name, Value: ev.Value, Origin: ev.Origin, Commit: ev.Commit, Sync: ev.Sync, Version: ev.Version}
 }
 
 func fromWireEvent(ev WatchEvent) feed.Event {
-	return feed.Event{Seq: ev.Seq, Op: feed.Op(ev.Op), Name: ev.Name, Value: ev.Value, Origin: ev.Origin, Commit: ev.Commit, Sync: ev.Sync}
+	return feed.Event{Seq: ev.Seq, Op: feed.Op(ev.Op), Name: ev.Name, Value: ev.Value, Origin: ev.Origin, Commit: ev.Commit, Sync: ev.Sync, Version: ev.Version}
 }
 
 // watchEventBatch bounds how many events one FrameWatchEvent carries: the

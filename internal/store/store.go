@@ -47,14 +47,12 @@ type Backing interface {
 	Put(key string, value []byte, ttl time.Duration) (memcache.Item, error)
 	CAS(key string, value []byte, ttl time.Duration, expectedVersion uint64) (memcache.Item, error)
 	Delete(key string) error
-	Contains(key string) bool
-	Keys() []string
 	Snapshot() []memcache.Item
 	Len() int
 	Stats() memcache.Stats
 	GetBatch(keys []string) (found []memcache.Item, missing []string, err error)
 	PutBatch(kvs []memcache.KV) ([]memcache.Item, error)
-	DeleteBatch(keys []string) (int, error)
+	DeleteBatch(keys []string) ([]bool, error)
 }
 
 var _ Backing = (*memcache.Cache)(nil)
@@ -261,8 +259,9 @@ const (
 // batching but changing no state — are suppressed, so sequence numbers seen
 // by a sink may have holes. sync reports that the mutation arrived through
 // the bulk-apply path (PutBatch/DeleteBatch, i.e. a replication batch or
-// migration sweep) rather than a primary single-key write.
-type EventSink func(seq uint64, op byte, key string, value []byte, sync bool)
+// migration sweep) rather than a primary single-key write. version is the
+// item version a put committed (0 for deletes).
+type EventSink func(seq uint64, op byte, key string, value []byte, version uint64, sync bool)
 
 // SetEventSink installs the sink that observes journaled mutations (the
 // change feed's tap). Install it before the store serves mutations —
@@ -278,6 +277,9 @@ type rec struct {
 	op    byte
 	key   string
 	value []byte
+	// version is the committed item version of a put, reported to the
+	// EventSink; it is not journaled.
+	version uint64
 	// noEvent suppresses the EventSink for records that change no state
 	// (deletes of absent keys).
 	noEvent bool
@@ -335,7 +337,7 @@ func (d *Durable) appendLocked(recs ...rec) error {
 		for _, rc := range recs {
 			seq++
 			if !rc.noEvent {
-				d.sink(seq, rc.op, rc.key, rc.value, rc.sync)
+				d.sink(seq, rc.op, rc.key, rc.value, rc.version, rc.sync)
 			}
 		}
 	}
@@ -362,7 +364,7 @@ func (d *Durable) Put(key string, value []byte, ttl time.Duration) (memcache.Ite
 	if err != nil {
 		return it, err
 	}
-	if err := d.appendLocked(rec{op: opPut, key: key, value: value}); err != nil {
+	if err := d.appendLocked(rec{op: opPut, key: key, value: value, version: it.Version}); err != nil {
 		return it, err
 	}
 	return it, nil
@@ -380,7 +382,7 @@ func (d *Durable) CAS(key string, value []byte, ttl time.Duration, expectedVersi
 	if err != nil {
 		return it, err
 	}
-	if err := d.appendLocked(rec{op: opPut, key: key, value: value}); err != nil {
+	if err := d.appendLocked(rec{op: opPut, key: key, value: value, version: it.Version}); err != nil {
 		return it, err
 	}
 	return it, nil
@@ -415,7 +417,7 @@ func (d *Durable) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
 	}
 	recs := make([]rec, len(kvs))
 	for i, kv := range kvs {
-		recs[i] = rec{op: opPut, key: kv.Key, value: kv.Value, sync: true}
+		recs[i] = rec{op: opPut, key: kv.Key, value: kv.Value, version: items[i].Version, sync: true}
 	}
 	if err := d.appendLocked(recs...); err != nil {
 		return items, err
@@ -427,47 +429,33 @@ func (d *Durable) PutBatch(kvs []memcache.KV) ([]memcache.Item, error) {
 // append. Absent keys are journaled too: replaying a delete of a missing
 // key is a no-op, and logging the full request keeps the append one frame
 // batch instead of a read-check per key.
-func (d *Durable) DeleteBatch(keys []string) (int, error) {
+func (d *Durable) DeleteBatch(keys []string) ([]bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return 0, ErrClosed
+		return nil, ErrClosed
 	}
-	// The sink only reports state changes, so record which keys actually
-	// exist before the batch removes them. Checked under mu, so no mutation
-	// can race the check.
-	var existed []bool
-	if d.sink != nil {
-		existed = make([]bool, len(keys))
-		for i, k := range keys {
-			existed[i] = d.backing.Contains(k)
-		}
-	}
-	n, err := d.backing.DeleteBatch(keys)
+	removed, err := d.backing.DeleteBatch(keys)
 	if err != nil {
-		return n, err
+		return removed, err
 	}
 	if len(keys) == 0 {
-		return n, nil
+		return removed, nil
 	}
+	// The sink only reports state changes: a key the batch did not remove
+	// journals its delete without an event.
 	recs := make([]rec, len(keys))
 	for i, k := range keys {
-		recs[i] = rec{op: opDelete, key: k, noEvent: existed != nil && !existed[i], sync: true}
+		recs[i] = rec{op: opDelete, key: k, noEvent: !removed[i], sync: true}
 	}
 	if err := d.appendLocked(recs...); err != nil {
-		return n, err
+		return removed, err
 	}
-	return n, nil
+	return removed, nil
 }
 
 // Get delegates to the backing store.
 func (d *Durable) Get(key string) (memcache.Item, error) { return d.backing.Get(key) }
-
-// Contains delegates to the backing store.
-func (d *Durable) Contains(key string) bool { return d.backing.Contains(key) }
-
-// Keys delegates to the backing store.
-func (d *Durable) Keys() []string { return d.backing.Keys() }
 
 // Snapshot delegates to the backing store.
 func (d *Durable) Snapshot() []memcache.Item { return d.backing.Snapshot() }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"geomds/internal/memcache"
@@ -36,7 +37,7 @@ func put(t *testing.T, d *Durable, key, value string) {
 func wantState(t *testing.T, d *Durable, want map[string]string) {
 	t.Helper()
 	if got := d.Len(); got != len(want) {
-		t.Errorf("Len() = %d, want %d (keys: %v)", got, len(want), d.Keys())
+		t.Errorf("Len() = %d, want %d", got, len(want))
 	}
 	for k, v := range want {
 		it, err := d.Get(k)
@@ -418,9 +419,9 @@ func TestDeleteBatchReplaysAbsentKeys(t *testing.T) {
 	d := mustOpen(t, dir)
 	put(t, d, "a", "1")
 	put(t, d, "b", "2")
-	n, err := d.DeleteBatch([]string{"a", "ghost", "phantom"})
-	if err != nil || n != 1 {
-		t.Fatalf("DeleteBatch = (%d, %v), want (1, nil)", n, err)
+	removed, err := d.DeleteBatch([]string{"a", "ghost", "phantom"})
+	if err != nil || !slices.Equal(removed, []bool{true, false, false}) {
+		t.Fatalf("DeleteBatch = (%v, %v), want ([true false false], nil)", removed, err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -536,5 +537,55 @@ func removeFrame(t *testing.T, path string, idx int) {
 	out := append(append([]byte(nil), data[:offs[idx]]...), data[end:]...)
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sinkEvent is one EventSink call.
+type sinkEvent struct {
+	seq     uint64
+	op      byte
+	key     string
+	version uint64
+	sync    bool
+}
+
+// TestEventSinkReportsStateChanges asserts the sink sees every journaled
+// state change in log order with the committed item version, marks the
+// bulk-apply path as sync, and is not told about deletes of absent keys.
+func TestEventSinkReportsStateChanges(t *testing.T) {
+	d := mustOpen(t, t.TempDir())
+	defer d.Close()
+	var got []sinkEvent
+	d.SetEventSink(func(seq uint64, op byte, key string, _ []byte, version uint64, sync bool) {
+		got = append(got, sinkEvent{seq, op, key, version, sync})
+	})
+	put(t, d, "a", "1")
+	if _, err := d.CAS("a", []byte("2"), 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.PutBatch([]memcache.KV{{Key: "b", Value: []byte("1")}}); err != nil {
+		t.Fatal(err)
+	}
+	if removed, err := d.DeleteBatch([]string{"ghost", "a"}); !slices.Equal(removed, []bool{false, true}) || err != nil {
+		t.Fatalf("DeleteBatch = %v, %v", removed, err)
+	}
+	want := []sinkEvent{
+		{1, OpPut, "a", 1, false},
+		{2, OpPut, "a", 2, false},
+		{3, OpPut, "b", 1, true},
+		// seq 4 is the journaled delete of the absent "ghost": no event.
+		{5, OpDelete, "a", 0, true},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("sink saw %v, want %v", got, want)
+	}
+	if items := d.Snapshot(); len(items) != 1 || items[0].Key != "b" {
+		t.Fatalf("Snapshot = %+v, want b only", items)
+	}
+	if found, missing, err := d.GetBatch([]string{"a", "b"}); err != nil || len(found) != 1 || len(missing) != 1 {
+		t.Fatalf("GetBatch = %+v, %v, %v", found, missing, err)
+	}
+	if st := d.Stats(); st.Items != 1 {
+		t.Fatalf("Stats().Items = %d, want 1", st.Items)
 	}
 }
